@@ -47,8 +47,12 @@ class GroundTruthSpec:
         object.__setattr__(
             self, "intervention", tuple(sorted(int(i) for i in self.intervention))
         )
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_domains < 2:
             raise ValueError("need at least two domains")
+        if len(set(self.intervention)) != len(self.intervention):
+            raise ValueError(f"intervention indices must be distinct, got {self.intervention}")
         if any(not 1 <= i <= self.dim for i in self.intervention):
             raise ValueError(
                 f"intervention indices must lie in [1, {self.dim}], got {self.intervention}"

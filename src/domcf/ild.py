@@ -92,12 +92,14 @@ class ILDModel:
     def log_likelihood(self, x, d: int):
         """Exact log-density of ``x`` under domain ``d`` by change of variables.
 
-        Scalar for a single observation, ``(n,)`` for a batch.
+        One reverse pass through ``g`` gives both ``z = g^{-1}(x)`` and the
+        observation log-det.  Scalar for a single observation, ``(n,)`` for a
+        batch.
         """
         f = self._scm(d)
-        z = self.g.inverse(x)
+        z, log_det_g = self.g.inverse_and_log_det(x)
         eps = f.inverse(z)
-        log_det_fwd = self.g.log_abs_det(z) + f.log_abs_det()
+        log_det_fwd = log_det_g + f.log_abs_det()
         log_base = -0.5 * self.dim * LOG_TWO_PI - 0.5 * np.sum(eps**2, axis=-1)
         out = log_base - log_det_fwd
         return float(out) if np.ndim(out) == 0 else out

@@ -57,6 +57,8 @@ class AffineDense:
             raise DimensionMismatch(f"G must be square, got shape {G.shape}")
         if b.shape != (G.shape[0],):
             raise DimensionMismatch(f"b must have shape ({G.shape[0]},), got {b.shape}")
+        if not (np.isfinite(G).all() and np.isfinite(b).all()):
+            raise ValueError("G and b must be finite")
         sign, logabsdet = np.linalg.slogdet(G)
         if sign == 0.0 or logabsdet <= math.log(_MIN_ABS_DET):
             raise ValueError("G is numerically singular (|det| <= 1e-12)")
@@ -203,7 +205,10 @@ Layer = Union[AffineDense, LeakyRelu, Permute, Triangular]
 
 @dataclass(frozen=True)
 class LayerChain:
-    """Ordered invertible layers; the empty chain is the identity."""
+    """Ordered invertible layers; the empty chain is the identity.
+
+    An exact likelihood needs one reverse pass: ``inverse_and_log_det``.
+    """
 
     dim: int
     layers: tuple[Layer, ...] = ()
@@ -237,17 +242,23 @@ class LayerChain:
             v = layer.inverse(v)
         return v
 
-    def log_abs_det(self, x):
-        """log |det J| of the forward map at ``x`` (input-dependent via LeakyRelu).
+    def inverse_and_log_det(self, y):
+        """``x = g^{-1}(y)`` and log |det J| of the forward map at ``x``, in one pass.
 
-        Returns a scalar for a single input and an ``(n,)`` array for a batch.
+        Walks the layers once in reverse; each layer's log-det is taken at its
+        forward input, the value the inverse pass has just produced.  The
+        per-layer terms are summed in forward order.  Returns ``(x, scalar)``
+        for a single input and ``(x, (n,) array)`` for a batch.
         """
-        v = self._check(x)
+        v = self._check(y)
+        terms = []
+        for layer in reversed(self.layers):
+            v = layer.inverse(v)
+            terms.append(layer.log_abs_det(v))
         total = 0.0 if v.ndim == 1 else np.zeros(v.shape[0])
-        for layer in self.layers:
-            total = total + layer.log_abs_det(v)
-            v = layer.forward(v)
-        return float(total) if v.ndim == 1 else total
+        for term in reversed(terms):
+            total = total + term
+        return v, (float(total) if v.ndim == 1 else total)
 
     def append(self, layer: Layer) -> LayerChain:
         """New chain applying ``layer`` after this chain (output side)."""

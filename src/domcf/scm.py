@@ -49,6 +49,7 @@ class AffineSCM:
     L: (m, m) strictly lower-triangular dependency matrix.
     S: (m,) strictly positive diagonal scales.
     b: (m,) additive bias.
+    All entries must be finite.
 
     ``F = (I - L)^{-1} diag(S)`` is lower triangular with ``diag(F) = S``, so
     ``det F = prod(S) > 0``.  Instances are immutable and all operations are
@@ -70,6 +71,8 @@ class AffineSCM:
             raise DimensionMismatch(
                 f"S and b must have shape ({m},), got {S.shape} and {b.shape}"
             )
+        if not (np.isfinite(L).all() and np.isfinite(S).all() and np.isfinite(b).all()):
+            raise ValueError("L, S and b must be finite")
         if np.any(np.triu(L) != 0.0):
             raise NotLowerTriangular("L must be strictly lower triangular")
         if np.any(S <= 0.0):

@@ -5,7 +5,8 @@ Schemas:
 * mechanism: ``{"dim": m, "L": [strictly-lower entries, row-major], "S": [...], "b": [...]}``
 * chain: ``{"dim": m, "layers": [{"kind": "affine"|"leaky_relu"|"permute"|"triangular", ...}]}``
 * model bundle: ``{"g": chain, "F": [mechanism, ...]}``
-* dataset CSV: header ``d,x1,...,xm``, one row per sample, 1-based domain labels
+* dataset CSV: header ``d,x1,...,xm``, one row per sample, 1-based domain labels,
+  finite values (a bad row raises ValueError naming its line)
 * history CSV: header ``iteration,train_nll,val_nll``
 
 Floats go through Python's repr (shortest round-trip decimal), so dump/load
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -152,8 +154,19 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
         for row in reader:
             if not row:
                 continue
-            labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
+            try:
+                if len(row) != m + 1:
+                    raise ValueError(f"expected {m + 1} cells, got {len(row)}")
+                label = int(row[0])
+                values = [float(v) for v in row[1:]]
+                if label < 1:
+                    raise ValueError(f"domain label must be >= 1, got {label}")
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("values must be finite")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            labels.append(label)
+            rows.append(values)
     x = np.asarray(rows, dtype=float).reshape(len(rows), m)
     return x, np.asarray(labels, dtype=int)
 

@@ -32,6 +32,17 @@ def random_chain(rng: np.random.Generator, m: int, with_permute: bool = True) ->
     return LayerChain(m, tuple(layers))
 
 
+def kink_distance(chain: LayerChain, x) -> np.ndarray:
+    """Smallest |coordinate| at any leaky-relu input of the forward pass, per row."""
+    v = np.asarray(x, dtype=float)
+    dist = np.full(v.shape[:-1], np.inf)
+    for layer in chain.layers:
+        if isinstance(layer, LeakyRelu):
+            dist = np.minimum(dist, np.min(np.abs(v), axis=-1))
+        v = layer.forward(v)
+    return dist
+
+
 def random_model(rng: np.random.Generator, m: int, num_domains: int) -> ILDModel:
     return ILDModel(
         random_chain(rng, m),

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The trend criteria (7, 8)
-share one multi-seed experiment fixture that takes a few minutes; everything
-else finishes in seconds.
+share one multi-seed experiment fixture that takes a few minutes and carry the
+``slow`` marker (``pytest -m "not slow"`` leaves them out); everything else
+finishes in seconds.
 
 Criterion 8 compares can1 and can2 seed by seed: the mean of the per-seed
 validation-NLL differences must exceed three standard errors of those
@@ -256,6 +257,7 @@ def test_criterion_6_likelihood_normalization():
     assert ok, worst
 
 
+@pytest.mark.slow
 def test_criterion_7_sparse_beats_dense_trend(trend_results):
     rows, summary, elapsed = trend_results
     can = {r.seed: r.cf_error for r in rows if r.variant == "can2"}
@@ -274,6 +276,7 @@ def test_criterion_7_sparse_beats_dense_trend(trend_results):
     assert ok, (summary["can2"]["cf_error_mean"], summary["dense"]["cf_error_mean"], wins, elapsed)
 
 
+@pytest.mark.slow
 def test_criterion_8_underfitting_shows_in_validation(trend_results):
     rows, _, _ = trend_results
     val = {(r.seed, r.variant): r.val_nll for r in rows}

@@ -186,6 +186,25 @@ class TestEval:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("column, cell", [(1, "nan"), (1, "inf"), (0, "0")])
+    def test_bad_cell_exits_4(self, dataset_dir, tmp_path, capsys, column, cell):
+        lines = (dataset_dir / "test.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[column] = cell
+        lines[1] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "eval",
+                "--model", str(dataset_dir / "ground_truth.json"),
+                "--ground-truth", str(dataset_dir / "ground_truth.json"),
+                "--test", str(bad),
+            ]
+        )
+        assert code == 4
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestCanonicalize:
     def test_demo_model_swaps(self, tmp_path, capsys):

@@ -38,6 +38,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(n_train=-1)
 
+    def test_duplicate_intervention_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            small_spec(intervention=(3, 3))
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_nonpositive_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            small_spec(dim=dim, intervention=())
+
 
 class TestGenerateGroundTruth:
     def test_deterministic_per_seed(self):

@@ -9,6 +9,9 @@ from domcf import (
     DomainSample,
     ILDModel,
     LayerChain,
+    LeakyRelu,
+    Permute,
+    Triangular,
     check_counterfactual_equiv,
     check_distribution_equiv,
     construct_equivalent,
@@ -16,7 +19,14 @@ from domcf import (
     ground_truth_bound_term,
     intervention_set,
 )
-from conftest import family_with_intervention, probe_points, random_model, random_scm
+from conftest import (
+    family_with_intervention,
+    kink_distance,
+    probe_points,
+    random_dense_layer,
+    random_model,
+    random_scm,
+)
 
 
 def identity_model(m: int, num_domains: int = 2) -> ILDModel:
@@ -86,6 +96,49 @@ class TestLogLikelihood:
         dens = np.exp(model.log_likelihood(grid, 1)).reshape(len(xs), len(xs))
         integral = np.trapezoid(np.trapezoid(dens, xs, axis=1), xs)
         assert integral == pytest.approx(1.0, abs=1e-3)
+
+
+def two_pass_log_likelihood(model: ILDModel, x, d: int):
+    """Change of variables with the log-det from a forward replay of ``g`` at ``z``."""
+    f = model.scms[d - 1]
+    z = model.g.inverse(x)
+    total = 0.0 if z.ndim == 1 else np.zeros(z.shape[0])
+    v = z
+    for layer in model.g.layers:
+        total = total + layer.log_abs_det(v)
+        v = layer.forward(v)
+    eps = f.inverse(z)
+    log_base = -0.5 * model.dim * math.log(2 * math.pi) - 0.5 * np.sum(eps**2, axis=-1)
+    out = log_base - (total + f.log_abs_det())
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def mixed_chain(rng: np.random.Generator, m: int) -> LayerChain:
+    """Random chain drawing from every layer type, leaky slopes 0.5 and 2."""
+    makers = (
+        lambda: Permute(tuple(rng.permutation(m) + 1)),
+        lambda: Triangular(random_scm(rng, m)),
+        lambda: LeakyRelu(0.5),
+        lambda: LeakyRelu(2.0),
+        lambda: random_dense_layer(rng, m),
+    )
+    picks = rng.integers(0, len(makers), size=6)
+    return LayerChain(m, tuple(makers[i]() for i in picks) + (random_dense_layer(rng, m),))
+
+
+class TestOnePassLikelihood:
+    def test_equals_two_pass_formula_exactly(self, rng):
+        m = 4
+        for _ in range(30):
+            model = ILDModel(mixed_chain(rng, m), (random_scm(rng, m), random_scm(rng, m)))
+            x = model.sample(2, 200, seed=int(rng.integers(1 << 30)))
+            x = x[kink_distance(model.g, model.g.inverse(x)) > 1e-3]
+            for d in (1, 2):
+                np.testing.assert_array_equal(
+                    model.log_likelihood(x, d), two_pass_log_likelihood(model, x, d)
+                )
+                for row in x[:5]:
+                    assert model.log_likelihood(row, d) == two_pass_log_likelihood(model, row, d)
 
 
 class TestCounterfactual:

@@ -13,7 +13,7 @@ from domcf import (
     Triangular,
     spectral_norm,
 )
-from conftest import random_chain, random_dense_layer, random_scm
+from conftest import kink_distance, random_chain, random_dense_layer, random_scm
 
 
 class TestForward:
@@ -63,45 +63,61 @@ def numerical_jacobian(fn, x, h=1e-6):
     return J
 
 
-def kink_distance(chain, x):
-    """Smallest |coordinate| seen at any leaky-relu input along the forward pass."""
-    dist = np.inf
-    v = x
-    for layer in chain.layers:
-        if isinstance(layer, LeakyRelu):
-            dist = min(dist, float(np.min(np.abs(v))))
-        v = layer.forward(v)
-    return dist
-
-
 class TestLogAbsDet:
+    """The log-det half of ``inverse_and_log_det``: forward log-det at ``g^{-1}(y)``."""
+
     def test_empty_chain(self):
-        assert LayerChain(2).log_abs_det([1.0, 2.0]) == 0.0
+        assert LayerChain(2).inverse_and_log_det([1.0, 2.0])[1] == 0.0
 
     def test_leaky_counts_negatives(self):
         chain = LayerChain(3, (LeakyRelu(0.5),))
-        assert chain.log_abs_det([-1.0, -2.0, 3.0]) == pytest.approx(2 * np.log(0.5))
+        assert chain.inverse_and_log_det([-1.0, -2.0, 3.0])[1] == pytest.approx(
+            2 * np.log(0.5)
+        )
 
     def test_matches_numerical_jacobian(self, rng):
         checked = 0
         while checked < 10:
             chain = random_chain(rng, 4)
-            x = rng.standard_normal(4)
+            y = rng.standard_normal(4)
+            x = chain.inverse(y)
             if kink_distance(chain, x) <= 1e-3:
                 continue
             J = numerical_jacobian(chain.forward, x)
             _, logdet = np.linalg.slogdet(J)
-            assert chain.log_abs_det(x) == pytest.approx(logdet, abs=1e-5)
+            assert chain.inverse_and_log_det(y)[1] == pytest.approx(logdet, abs=1e-5)
             checked += 1
 
     def test_inverse_chain_cancels(self, rng):
         for _ in range(10):
             chain = random_chain(rng, 5)
-            x = rng.standard_normal(5)
-            y = chain.forward(x)
-            assert chain.log_abs_det(x) + chain.invert().log_abs_det(y) == pytest.approx(
-                0.0, abs=1e-9
-            )
+            y = rng.standard_normal(5)
+            x = chain.inverse(y)
+            total = chain.inverse_and_log_det(y)[1] + chain.invert().inverse_and_log_det(x)[1]
+            assert total == pytest.approx(0.0, abs=1e-9)
+
+
+class TestInverseAndLogDet:
+    def test_inverse_half_is_inverse(self, rng):
+        for _ in range(20):
+            chain = random_chain(rng, 4)
+            for y in (rng.standard_normal(4), rng.standard_normal((7, 4))):
+                np.testing.assert_array_equal(chain.inverse_and_log_det(y)[0], chain.inverse(y))
+
+    def test_batch_matches_rows(self, rng):
+        chain = random_chain(rng, 4)
+        y = rng.standard_normal((9, 4))
+        _, batch = chain.inverse_and_log_det(y)
+        assert batch.shape == (9,)
+        np.testing.assert_array_equal(batch, [chain.inverse_and_log_det(r)[1] for r in y])
+
+    def test_single_input_gives_float(self, rng):
+        _, logdet = random_chain(rng, 3).inverse_and_log_det(rng.standard_normal(3))
+        assert isinstance(logdet, float)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            LayerChain(3).inverse_and_log_det(np.ones(2))
 
 
 class TestAppend:
@@ -181,6 +197,15 @@ class TestValidation:
     def test_singular_dense_rejected(self):
         with pytest.raises(ValueError):
             AffineDense(np.zeros((2, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dense_rejected(self, bad):
+        G = np.eye(2)
+        G[0, 1] = bad
+        with pytest.raises(ValueError):
+            AffineDense(G, np.zeros(2))
+        with pytest.raises(ValueError):
+            AffineDense(np.eye(2), [0.0, bad])
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError):

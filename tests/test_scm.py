@@ -167,6 +167,31 @@ class TestFromMatrix:
             AffineSCM.from_matrix(A, np.zeros(3))
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scale(self, bad):
+        with pytest.raises(ValueError):
+            AffineSCM(np.zeros((2, 2)), [bad, 1.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bias(self, bad):
+        with pytest.raises(ValueError):
+            AffineSCM(np.zeros((2, 2)), [1.0, 1.0], [0.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dependency_entry(self, bad):
+        L = np.zeros((2, 2))
+        L[1, 0] = bad
+        with pytest.raises(ValueError):
+            AffineSCM(L, [1.0, 1.0], [0.0, 0.0])
+
+    def test_from_matrix_nan_diagonal(self):
+        A = np.eye(3)
+        A[2, 2] = np.nan
+        with pytest.raises(ValueError):
+            AffineSCM.from_matrix(A, np.zeros(3))
+
+
 def brute_force_intervention(scms, n_points: int, seed: int, tol: float = 1e-6):
     """Pointwise oracle: compare inverse maps coordinatewise on random points."""
     gen = np.random.default_rng(seed)

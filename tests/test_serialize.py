@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,15 @@ class TestDatasetCsv:
         serialize.write_dataset_csv(path, rng.standard_normal((2, 4)), np.array([1, 2]))
         header = path.read_text().splitlines()[0]
         assert header == "d,x1,x2,x3,x4"
+
+    @pytest.mark.parametrize(
+        "bad_row", ["1,1.0,nan", "1,inf,2.0", "2,-inf,0.5", "0,1.0,2.0", "-1,1.0,2.0", "1,1.0", "x,1,2"]
+    )
+    def test_bad_row_names_its_line(self, tmp_path, bad_row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"d,x1,x2\n1,0.5,0.25\n{bad_row}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            serialize.read_dataset_csv(path)
 
 
 class TestHistoryCsv:
