@@ -7,7 +7,17 @@ likelihoods, deterministic domain-counterfactual generation, canonicalization
 (moving the intervened coordinates to the tail while preserving
 counterfactuals and distributions), sparsity-constrained maximum-likelihood
 estimation, and a reproducible simulated-experiment harness.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has
+set it.  The matrices here are small, and idle OpenBLAS worker threads slow
+down the code that runs after a threaded product.  OpenBLAS reads the
+variable once, when numpy loads, so the default only applies when ``domcf``
+is imported before numpy.
 """
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .canonical import (
     CanonicalizationReport,
     PreconditionViolated,

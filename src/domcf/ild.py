@@ -61,6 +61,8 @@ class ILDModel:
                     f"mechanism dim {f.dim} does not match observation dim {self.g.dim}"
                 )
         object.__setattr__(self, "scms", scms)
+        # (d, d') -> (A^T, c) of the latent map z -> A z + c; filled on first use.
+        object.__setattr__(self, "_cf_maps", {})
 
     @property
     def dim(self) -> int:
@@ -105,11 +107,20 @@ class ILDModel:
         return float(out) if np.ndim(out) == 0 else out
 
     def counterfactual(self, x, d: int, d_prime: int):
-        """Deterministic domain counterfactual of ``x`` from ``d`` to ``d_prime``."""
-        f_from = self._scm(d)
-        f_to = self._scm(d_prime)
-        eps = f_from.inverse(self.g.inverse(x))
-        return self.g.forward(f_to.forward(eps))
+        """Deterministic domain counterfactual of ``x`` from ``d`` to ``d_prime``.
+
+        Mechanisms are affine, so ``f_d' o f_d^{-1}`` is the affine map
+        ``z -> A z + c`` with ``A = F_d' F_d^{-1}`` and ``c = b_d' - A b_d``.
+        It is built on the first call for each ordered pair and cached on the
+        model; every call is then ``g(A g^{-1}(x) + c)``, with no solve.
+        """
+        maps = self._cf_maps.get((d, d_prime))
+        if maps is None:
+            f_from, f_to = self._scm(d), self._scm(d_prime)
+            A = f_to.matrix @ f_from.inverse_matrix
+            maps = self._cf_maps[(d, d_prime)] = (A.T, f_to.b - A @ f_from.b)
+        A_T, c = maps
+        return self.g.forward(self.g.inverse(x) @ A_T + c)
 
 
 def as_sample_arrays(points) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,12 @@ def spectral_norm(A: np.ndarray, iterations: int = 200, tol: float = 1e-10) -> f
 
 @dataclass(frozen=True)
 class AffineDense:
-    """Invertible dense affine layer ``y = G x + b``."""
+    """Invertible dense affine layer ``y = G x + b``.
+
+    ``G^{-1}`` is computed once at construction (LU factorization, then a
+    solve against the identity), so ``inverse`` is one matrix product and
+    ``invert`` reuses the same matrix.
+    """
 
     G: np.ndarray
     b: np.ndarray
@@ -62,11 +67,12 @@ class AffineDense:
         sign, logabsdet = np.linalg.slogdet(G)
         if sign == 0.0 or logabsdet <= math.log(_MIN_ABS_DET):
             raise ValueError("G is numerically singular (|det| <= 1e-12)")
-        lu, piv = lu_factor(G, check_finite=False)
+        lu_piv = lu_factor(G, check_finite=False)
+        G_inv = lu_solve(lu_piv, np.eye(G.shape[0]), check_finite=False)
+        G_inv.setflags(write=False)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_lu", lu)
-        object.__setattr__(self, "_piv", piv)
+        object.__setattr__(self, "_G_inv", G_inv)
         object.__setattr__(self, "_logabsdet", float(logabsdet))
 
     @property
@@ -77,10 +83,7 @@ class AffineDense:
         return x @ self.G.T + self.b
 
     def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        rhs = (y - self.b).T if y.ndim == 2 else y - self.b
-        sol = lu_solve((self._lu, self._piv), rhs, check_finite=False)
-        return sol.T if y.ndim == 2 else sol
+        return (np.asarray(y, dtype=float) - self.b) @ self._G_inv.T
 
     def log_abs_det(self, x):
         del x  # constant Jacobian
@@ -90,8 +93,7 @@ class AffineDense:
         return spectral_norm(self.G)
 
     def invert(self) -> AffineDense:
-        G_inv = lu_solve((self._lu, self._piv), np.eye(self.dim), check_finite=False)
-        return AffineDense(G_inv, -G_inv @ self.b)
+        return AffineDense(self._G_inv, -self._G_inv @ self.b)
 
 
 @dataclass(frozen=True)

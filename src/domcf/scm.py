@@ -132,11 +132,6 @@ class AffineSCM:
         M = np.eye(self.dim) - self.L
         return M / self.S[:, None]
 
-    @property
-    def inverse_offset(self) -> np.ndarray:
-        """Offset of the inverse affine map: ``eps = F^{-1} z - F^{-1} b``."""
-        return -self.inverse_matrix @ self.b
-
     def _check_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
@@ -239,7 +234,7 @@ def intervention_set(
         if f.dim != m:
             raise DimensionMismatch("all mechanisms must share one dimension")
     rows = np.stack([f.inverse_matrix for f in scms])
-    offs = np.stack([f.inverse_offset for f in scms])
+    offs = np.stack([-row @ f.b for row, f in zip(rows, scms)])
     hit = np.zeros(m, dtype=bool)
     for a in range(len(scms)):
         for c in range(a + 1, len(scms)):

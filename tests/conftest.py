@@ -6,10 +6,11 @@ roundoff rather than genuine disagreement.
 """
 from __future__ import annotations
 
+# domcf before numpy, so the suite runs under the package's BLAS thread default.
+from domcf import AffineDense, AffineSCM, ILDModel, LayerChain, LeakyRelu, Permute
+
 import numpy as np
 import pytest
-
-from domcf import AffineDense, AffineSCM, ILDModel, LayerChain, LeakyRelu, Permute
 
 
 def random_scm(rng: np.random.Generator, m: int, spread: float = 0.6) -> AffineSCM:

@@ -177,6 +177,54 @@ class TestCounterfactual:
         )
 
 
+def three_step_counterfactual(model: ILDModel, x, d: int, d_prime: int):
+    """Abduction, action and prediction through every layer and mechanism."""
+    f_from, f_to = model.scms[d - 1], model.scms[d_prime - 1]
+    return model.g.forward(f_to.forward(f_from.inverse(model.g.inverse(x))))
+
+
+class TestCachedCounterfactual:
+    def test_matches_three_step_formula(self, rng):
+        for _ in range(5):
+            model = random_model(rng, 4, 3)
+            x, _ = probe_points(model, 60, seed=int(rng.integers(1 << 30)))
+            for d in range(1, 4):
+                for d_prime in range(1, 4):
+                    np.testing.assert_allclose(
+                        model.counterfactual(x, d, d_prime),
+                        three_step_counterfactual(model, x, d, d_prime),
+                        rtol=1e-10, atol=1e-10,
+                    )
+                    row = model.counterfactual(x[0], d, d_prime)
+                    assert row.shape == (4,)
+                    np.testing.assert_allclose(
+                        row, three_step_counterfactual(model, x[0], d, d_prime),
+                        rtol=1e-10, atol=1e-10,
+                    )
+
+    def test_repeated_call_is_identical(self, rng):
+        model = random_model(rng, 4, 3)
+        x, _ = probe_points(model, 50, seed=9)
+        for d in range(1, 4):
+            for d_prime in range(1, 4):
+                first = model.counterfactual(x, d, d_prime)
+                assert np.array_equal(model.counterfactual(x, d, d_prime), first)
+
+    def test_out_of_range_domain_before_and_after_warm_cache(self, rng):
+        model = random_model(rng, 3, 2)
+        x = rng.standard_normal((5, 3))
+        bad_pairs = ((0, 1), (1, 0), (3, 1), (1, 3), (-1, 2))
+        for d, d_prime in bad_pairs:
+            with pytest.raises(IndexError):
+                model.counterfactual(x, d, d_prime)
+        for d in (1, 2):
+            for d_prime in (1, 2):
+                model.counterfactual(x, d, d_prime)
+        for d, d_prime in bad_pairs:
+            with pytest.raises(IndexError):
+                model.counterfactual(x, d, d_prime)
+
+
 class TestDcDistance:
     def test_reflexive(self, rng):
         model = random_model(rng, 4, 2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from domcf import (
     AffineDense,
@@ -118,6 +119,28 @@ class TestInverseAndLogDet:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             LayerChain(3).inverse_and_log_det(np.ones(2))
+
+
+def relative_error(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestCachedDenseInverse:
+    def test_inverse_matches_solve(self, rng):
+        for m in (1, 3, 6):
+            layer = random_dense_layer(rng, m)
+            y = rng.standard_normal((50, m))
+            want = np.linalg.solve(layer.G, (y - layer.b).T).T
+            assert relative_error(layer.inverse(y), want) <= 1e-12
+            row_want = np.linalg.solve(layer.G, y[0] - layer.b)
+            assert layer.inverse(y[0]).shape == (m,)
+            assert relative_error(layer.inverse(y[0]), row_want) <= 1e-12
+
+    def test_invert_is_lu_inverse(self, rng):
+        layer = random_dense_layer(rng, 5)
+        want = lu_solve(lu_factor(layer.G), np.eye(5))
+        assert np.array_equal(layer.invert().G, want)
+        assert np.array_equal(layer.invert().b, -want @ layer.b)
 
 
 class TestAppend:
