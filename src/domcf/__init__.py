@@ -9,14 +9,20 @@ counterfactuals and distributions), sparsity-constrained maximum-likelihood
 estimation, and a reproducible simulated-experiment harness.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has
-set it.  The matrices here are small, and idle OpenBLAS worker threads slow
-down the code that runs after a threaded product.  OpenBLAS reads the
-variable once, when numpy loads, so the default only applies when ``domcf``
-is imported before numpy.
+set one of the variables OpenBLAS reads for its thread count
+(``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``).  The
+matrices here are small, and idle OpenBLAS worker threads slow down the code
+that runs after a threaded product.  OpenBLAS reads the variables once, when
+numpy loads, so the default only applies when ``domcf`` is imported before
+numpy.  The setting lives in ``os.environ``, so child processes started
+later inherit it.
 """
 import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .canonical import (
     CanonicalizationReport,

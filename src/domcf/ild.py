@@ -61,8 +61,6 @@ class ILDModel:
                     f"mechanism dim {f.dim} does not match observation dim {self.g.dim}"
                 )
         object.__setattr__(self, "scms", scms)
-        # (d, d') -> (A^T, c) of the latent map z -> A z + c; filled on first use.
-        object.__setattr__(self, "_cf_maps", {})
 
     @property
     def dim(self) -> int:
@@ -111,16 +109,13 @@ class ILDModel:
 
         Mechanisms are affine, so ``f_d' o f_d^{-1}`` is the affine map
         ``z -> A z + c`` with ``A = F_d' F_d^{-1}`` and ``c = b_d' - A b_d``.
-        It is built on the first call for each ordered pair and cached on the
-        model; every call is then ``g(A g^{-1}(x) + c)``, with no solve.
+        The map is rebuilt on each call (one ``m x m`` triangular solve and
+        product); the batch then goes through ``g(A g^{-1}(x) + c)`` with no
+        per-row solve.
         """
-        maps = self._cf_maps.get((d, d_prime))
-        if maps is None:
-            f_from, f_to = self._scm(d), self._scm(d_prime)
-            A = f_to.matrix @ f_from.inverse_matrix
-            maps = self._cf_maps[(d, d_prime)] = (A.T, f_to.b - A @ f_from.b)
-        A_T, c = maps
-        return self.g.forward(self.g.inverse(x) @ A_T + c)
+        f_from, f_to = self._scm(d), self._scm(d_prime)
+        A = f_to.matrix @ f_from.inverse_matrix
+        return self.g.forward(self.g.inverse(x) @ A.T + (f_to.b - A @ f_from.b))
 
 
 def as_sample_arrays(points) -> tuple[np.ndarray, np.ndarray]:

@@ -183,7 +183,7 @@ def three_step_counterfactual(model: ILDModel, x, d: int, d_prime: int):
     return model.g.forward(f_to.forward(f_from.inverse(model.g.inverse(x))))
 
 
-class TestCachedCounterfactual:
+class TestSolveFreeCounterfactual:
     def test_matches_three_step_formula(self, rng):
         for _ in range(5):
             model = random_model(rng, 4, 3)
@@ -202,25 +202,10 @@ class TestCachedCounterfactual:
                         rtol=1e-10, atol=1e-10,
                     )
 
-    def test_repeated_call_is_identical(self, rng):
-        model = random_model(rng, 4, 3)
-        x, _ = probe_points(model, 50, seed=9)
-        for d in range(1, 4):
-            for d_prime in range(1, 4):
-                first = model.counterfactual(x, d, d_prime)
-                assert np.array_equal(model.counterfactual(x, d, d_prime), first)
-
-    def test_out_of_range_domain_before_and_after_warm_cache(self, rng):
+    def test_out_of_range_domain(self, rng):
         model = random_model(rng, 3, 2)
         x = rng.standard_normal((5, 3))
-        bad_pairs = ((0, 1), (1, 0), (3, 1), (1, 3), (-1, 2))
-        for d, d_prime in bad_pairs:
-            with pytest.raises(IndexError):
-                model.counterfactual(x, d, d_prime)
-        for d in (1, 2):
-            for d_prime in (1, 2):
-                model.counterfactual(x, d, d_prime)
-        for d, d_prime in bad_pairs:
+        for d, d_prime in ((0, 1), (1, 0), (3, 1), (1, 3), (-1, 2)):
             with pytest.raises(IndexError):
                 model.counterfactual(x, d, d_prime)
 

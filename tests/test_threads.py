@@ -14,17 +14,19 @@ pytestmark = pytest.mark.skipif(
 
 SRC = str(Path(domcf.__file__).resolve().parent.parent)
 
-# Imports domcf before numpy, runs a 20000x10 BLAS product, then prints the
-# variable and the number of threads in the process.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Imports domcf before numpy, runs a 20000x10 BLAS product, then prints
+# OPENBLAS_NUM_THREADS ("-" when unset) and the number of threads in the process.
 PROBE = (
     "import os, domcf, numpy as np; "
     "np.ones((20000, 10)) @ np.ones((10, 10)); "
-    "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS', '-'), len(os.listdir('/proc/self/task')))"
 )
 
 
 def run_probe(**preset) -> list[str]:
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update(preset, PYTHONPATH=SRC)
     done = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
@@ -39,3 +41,12 @@ def test_import_leaves_one_thread():
 
 def test_caller_setting_wins():
     assert run_probe(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+@pytest.mark.parametrize("var", ["OMP_NUM_THREADS", "GOTO_NUM_THREADS"])
+def test_other_openblas_variables_win(var):
+    # numpy and scipy each load an OpenBLAS, so compare against the thread
+    # count that OPENBLAS_NUM_THREADS=2 gives rather than a fixed number.
+    two_threads = run_probe(OPENBLAS_NUM_THREADS="2")[1]
+    assert int(two_threads) > 1
+    assert run_probe(**{var: "2"}) == ["-", two_threads]
