@@ -42,7 +42,6 @@ from .datagen import (
 )
 from .experiment import ExperimentConfig, VariantSpec, run_experiment
 from .ild import (
-    DomainSample,
     ILDModel,
     as_sample_arrays,
     check_counterfactual_equiv,
@@ -75,7 +74,6 @@ from .train import (
     ParamSet,
     TrainConfig,
     TrainableILD,
-    adam_step,
     dataset_nll,
     nll_gradient,
     nll_loss,
@@ -89,7 +87,6 @@ __all__ = [
     "CanonicalizationReport",
     "DEFAULT_INTERVENTION_TOL",
     "DimensionMismatch",
-    "DomainSample",
     "ExperimentConfig",
     "GroundTruthSpec",
     "ILDModel",
@@ -109,7 +106,6 @@ __all__ = [
     "Triangular",
     "TriangularityBroken",
     "VariantSpec",
-    "adam_step",
     "as_sample_arrays",
     "canonicalize",
     "check_counterfactual_equiv",

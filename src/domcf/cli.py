@@ -28,7 +28,7 @@ from .datagen import (
 from .experiment import ExperimentConfig, VariantSpec, run_experiment, write_results_csv
 from .ild import ground_truth_bound_term
 from .scm import DimensionMismatch, intervention_set
-from .train import TrainableILD, TrainConfig, dataset_nll, train_with_state
+from .train import TrainableILD, TrainConfig, dataset_nll, train
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
     trainable = TrainableILD.initialize(
         spec.dim, spec.num_domains, variant.kind, variant.k, seed=train_cfg.seed
     )
-    best, history, final, optimizer = train_with_state(trainable, dataset, train_cfg)
+    best, history = train(trainable, dataset, train_cfg)
     val_nll = min(rec[2] for rec in history)
     serialize.save_json(
         {
@@ -201,16 +201,6 @@ def cmd_train(args) -> int:
             "seed": train_cfg.seed,
         },
         out / "checkpoint.json",
-    )
-    moments_m = optimizer.m.items() if optimizer.m is not None else []
-    moments_v = optimizer.v.items() if optimizer.v is not None else []
-    serialize.save_json(
-        {
-            "t": optimizer.t,
-            "m": {name: arr.tolist() for name, arr in moments_m},
-            "v": {name: arr.tolist() for name, arr in moments_v},
-        },
-        out / "optimizer_state.json",
     )
     serialize.write_history_csv(out / "history.csv", history)
     print(f"trained {variant.label()} for {train_cfg.iterations} iterations; "

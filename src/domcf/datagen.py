@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ild import DomainSample, ILDModel, as_sample_arrays
+from .ild import ILDModel, as_sample_arrays
 from .mixing import AffineDense, LayerChain, LeakyRelu
 from .scm import AffineSCM, DimensionMismatch, intervention_set
 
@@ -80,10 +80,6 @@ class Split:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __iter__(self):
-        for row, label in zip(self.x, self.d):
-            yield DomainSample(row, int(label))
 
 
 @dataclass(frozen=True)

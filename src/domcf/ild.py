@@ -32,19 +32,6 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class DomainSample:
-    """One observation ``x`` with its 1-based domain label ``d``."""
-
-    x: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.d < 1:
-            raise ValueError(f"domain label must be >= 1, got {self.d}")
-
-
-@dataclass(frozen=True)
 class ILDModel:
     """Shared observation chain ``g`` plus one mechanism per domain."""
 
@@ -121,20 +108,17 @@ class ILDModel:
 def as_sample_arrays(points) -> tuple[np.ndarray, np.ndarray]:
     """Coerce probe points to ``(X, labels)`` arrays.
 
-    Accepts a sequence of DomainSample, an ``(X, labels)`` pair, or any object
-    exposing ``x``/``d`` arrays (dataset splits).
+    Accepts an ``(X, labels)`` pair or any object exposing ``x``/``d`` arrays
+    (dataset splits); anything else raises ``ValueError``.
     """
     if hasattr(points, "x") and hasattr(points, "d"):
         return np.asarray(points.x, dtype=float), np.asarray(points.d, dtype=int)
     if isinstance(points, tuple) and len(points) == 2:
         x, d = points
         return np.asarray(x, dtype=float), np.asarray(d, dtype=int)
-    pts = list(points)
-    if not pts:
-        return np.zeros((0, 0)), np.zeros(0, dtype=int)
-    x = np.stack([np.asarray(p.x, dtype=float) for p in pts])
-    d = np.asarray([p.d for p in pts], dtype=int)
-    return x, d
+    raise ValueError(
+        f"expected a split with .x/.d arrays or an (X, labels) pair, got {type(points).__name__}"
+    )
 
 
 def _check_pair(a: ILDModel, b: ILDModel):

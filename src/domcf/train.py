@@ -16,6 +16,10 @@ the whole training pass is solver-free and the gradient of the quadratic term
 never passes through an inverted matrix, which keeps its variance moderate
 even when the fitted mixing is badly conditioned.
 
+Every trainable parameter lives in one contiguous float64 buffer
+(``ParamSet``) with read-only named views; the gradient has the same layout,
+and Adam updates the whole buffer with a few vector operations.
+
 ``nll_gradient`` is the exact reverse-mode gradient of the batch negative
 log-likelihood (the leaky-ReLU derivative at exactly 0 uses the slope-1
 branch).  It is not what training follows: each negative pre-activation adds
@@ -35,18 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .ild import ILDModel, LOG_TWO_PI, as_sample_arrays
-from .mixing import AffineDense, LayerChain, LeakyRelu
+from .mixing import _MIN_ABS_DET, AffineDense, LayerChain, LeakyRelu
 from .scm import AffineSCM
 
 ADAM_EPS = 1e-8
 LEAKY_SLOPE = 0.5
-_MIN_ABS_DET = 1e-12
-_G_GROUP = ("W", "c")
 # SeedSequence tags keeping initialization, batch sampling and the kink search
 # on disjoint streams even when all derive from the same user-facing seed.
 _INIT_STREAM = 101
@@ -62,16 +65,6 @@ _SEARCH_EVERY = 500
 _SEARCH_ROWS = 4000
 _DEAD_SHARE = 0.05
 _CANDIDATES = 16
-_PARAM_FIELDS = (
-    "W",
-    "c",
-    "shared_L",
-    "shared_logS",
-    "shared_b",
-    "dom_L",
-    "dom_logS",
-    "dom_b",
-)
 
 
 @dataclass(frozen=True)
@@ -96,32 +89,59 @@ class TrainConfig:
             raise ValueError("batch_size and eval_every must be positive, iterations >= 0")
 
 
-@dataclass
 class ParamSet:
-    """All free parameter arrays of one trainable model.
+    """All free parameters of one trainable model in one contiguous float64 buffer.
 
+    ``vec`` is the buffer; ``W``, ``c``, ``shared_L``, ``shared_logS``,
+    ``shared_b``, ``dom_L``, ``dom_logS`` and ``dom_b`` are fixed views of
+    it, in that order.  A view cannot be rebound (``p.W = ...`` raises
+    ``AttributeError``); write through it in place (``p.W[...] = ...``).
     ``W`` and ``c`` parameterize the observation layer in the inverse
-    direction (``u = W x + c``).
+    direction (``u = W x + c``).  Entries of ``shared_L`` and ``dom_L`` on or
+    above the diagonal of the full ``L`` are structural zeros: training keeps
+    them at 0 and ``TrainableILD.domain_arrays`` masks them out.
     """
 
-    W: np.ndarray
-    c: np.ndarray
-    shared_L: np.ndarray
-    shared_logS: np.ndarray
-    shared_b: np.ndarray
-    dom_L: np.ndarray
-    dom_logS: np.ndarray
-    dom_b: np.ndarray
+    def __init__(
+        self, dim: int, num_domains: int, domain_rows: int, vec: np.ndarray | None = None
+    ):
+        ns = dim - domain_rows
+        shapes = (
+            (dim, dim),
+            (dim,),
+            (ns, dim),
+            (ns,),
+            (ns,),
+            (num_domains, domain_rows, dim),
+            (num_domains, domain_rows),
+            (num_domains, domain_rows),
+        )
+        ends = list(accumulate(math.prod(shape) for shape in shapes))
+        if vec is None:
+            vec = np.zeros(ends[-1])
+        elif vec.shape != (ends[-1],):
+            raise ValueError(f"expected {ends[-1]} entries, got shape {vec.shape}")
+        self._layout = (dim, num_domains, domain_rows)
+        self._vec = vec
+        self._views = tuple(
+            vec[end - math.prod(shape) : end].reshape(shape) for end, shape in zip(ends, shapes)
+        )
 
-    def items(self):
-        for name in _PARAM_FIELDS:
-            yield name, getattr(self, name)
+    vec = property(lambda self: self._vec)
+    W = property(lambda self: self._views[0])
+    c = property(lambda self: self._views[1])
+    shared_L = property(lambda self: self._views[2])
+    shared_logS = property(lambda self: self._views[3])
+    shared_b = property(lambda self: self._views[4])
+    dom_L = property(lambda self: self._views[5])
+    dom_logS = property(lambda self: self._views[6])
+    dom_b = property(lambda self: self._views[7])
 
     def copy(self) -> ParamSet:
-        return ParamSet(**{name: arr.copy() for name, arr in self.items()})
+        return ParamSet(*self._layout, self._vec.copy())
 
     def zeros_like(self) -> ParamSet:
-        return ParamSet(**{name: np.zeros_like(arr) for name, arr in self.items()})
+        return ParamSet(*self._layout)
 
 
 @dataclass
@@ -174,22 +194,20 @@ class TrainableILD:
         strict = np.tril(np.ones((dim, dim)), k=-1)
         L_all = rng.standard_normal((num_domains, dim, dim)) * 0.1 * strict
         b_all = rng.standard_normal((num_domains, dim)) * 0.1
-        params = ParamSet(
-            W=np.eye(dim),
-            c=np.zeros(dim),
-            shared_L=L_all[0, :ns].copy(),
-            shared_logS=np.zeros(ns),
-            shared_b=b_all[0, :ns].copy(),
-            dom_L=L_all[:, ns:].copy(),
-            dom_logS=np.zeros((num_domains, kk)),
-            dom_b=b_all[:, ns:].copy(),
-        )
+        params = ParamSet(dim, num_domains, kk)
+        params.W[...] = np.eye(dim)
+        params.shared_L[...] = L_all[0, :ns]
+        params.shared_b[...] = b_all[0, :ns]
+        params.dom_L[...] = L_all[:, ns:]
+        params.dom_b[...] = b_all[:, ns:]
         return cls(kind, dim, num_domains, kk, params)
 
     def copy(self) -> TrainableILD:
         return replace(self, params=self.params.copy())
 
-    def _strict_row_mask(self) -> np.ndarray:
+    @cached_property
+    def _strict(self) -> np.ndarray:
+        """Strictly-lower-triangular 0/1 mask of the full ``L``, built once per model."""
         return np.tril(np.ones((self.dim, self.dim)), k=-1)
 
     def domain_arrays(self, d0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,7 +216,7 @@ class TrainableILD:
         L = np.zeros((self.dim, self.dim))
         L[:ns] = p.shared_L
         L[ns:] = p.dom_L[d0]
-        L *= self._strict_row_mask()
+        L *= self._strict
         logS = np.concatenate([p.shared_logS, p.dom_logS[d0]])
         b = np.concatenate([p.shared_b, p.dom_b[d0]])
         return L, logS, b
@@ -226,49 +244,14 @@ class TrainableILD:
         )
         return ILDModel(mix, tuple(scms))
 
-    # Mask-aware flattening used by gradient checks and serialization of
-    # optimizer state; structurally-zero dependency entries are excluded.
-    def _free_masks(self) -> dict[str, np.ndarray]:
-        ns, kk, m, nd = self.shared_rows, self.domain_rows, self.dim, self.num_domains
-        strict = self._strict_row_mask().astype(bool)
-        return {
-            "W": np.ones((m, m), dtype=bool),
-            "c": np.ones(m, dtype=bool),
-            "shared_L": strict[:ns],
-            "shared_logS": np.ones(ns, dtype=bool),
-            "shared_b": np.ones(ns, dtype=bool),
-            "dom_L": np.broadcast_to(strict[ns:], (nd, kk, m)),
-            "dom_logS": np.ones((nd, kk), dtype=bool),
-            "dom_b": np.ones((nd, kk), dtype=bool),
-        }
-
     def free_vector(self) -> np.ndarray:
-        masks = self._free_masks()
-        return np.concatenate(
-            [getattr(self.params, name)[masks[name]] for name in _PARAM_FIELDS]
-        )
+        """A copy of the parameter buffer."""
+        return self.params.vec.copy()
 
     def with_free_vector(self, vec: np.ndarray) -> TrainableILD:
-        masks = self._free_masks()
-        out = self.copy()
-        pos = 0
-        for name in _PARAM_FIELDS:
-            arr = getattr(out.params, name)
-            mask = masks[name]
-            count = int(mask.sum())
-            arr[mask] = vec[pos : pos + count]
-            pos += count
-        if pos != len(vec):
-            raise ValueError(f"expected {pos} entries, got {len(vec)}")
-        return out
-
-
-def mask_gradient(trainable: TrainableILD, grads: ParamSet) -> ParamSet:
-    strict = trainable._strict_row_mask()
-    ns = trainable.shared_rows
-    grads.shared_L *= strict[:ns]
-    grads.dom_L *= strict[ns:]
-    return grads
+        """A copy of the model with ``vec`` loaded as its parameter buffer."""
+        vec = np.array(vec, dtype=float)
+        return replace(self, params=ParamSet(self.dim, self.num_domains, self.domain_rows, vec))
 
 
 def _kink_crossing_term(U: np.ndarray) -> np.ndarray:
@@ -335,25 +318,24 @@ def _loss_and_grad(
 
         Wgt = Eps / S
         g_logS = np.sum(1.0 - Eps**2, axis=0)
-        g_L = np.tril(-(Wgt.T @ Y), k=-1)
+        g_L = -(Wgt.T @ Y) * trainable._strict
         g_b = -(M.T @ Wgt.sum(axis=0))
         dU_total[mask] = (Wgt @ M) * np.where(U[mask] >= 0.0, 1.0, 1.0 / s)
 
-        grads.shared_L += g_L[:ns]
-        grads.shared_logS += g_logS[:ns]
-        grads.shared_b += g_b[:ns]
+        grads.shared_L[...] += g_L[:ns]
+        grads.shared_logS[...] += g_logS[:ns]
+        grads.shared_b[...] += g_b[:ns]
         grads.dom_L[d0] = g_L[ns:]
         grads.dom_logS[d0] = g_logS[ns:]
         grads.dom_b[d0] = g_b[ns:]
 
     if kink_term:
         dU_total += _kink_crossing_term(U)
-    grads.W = dU_total.T @ X - float(n) * np.linalg.inv(p.W).T
-    grads.c = dU_total.sum(axis=0)
-
-    for name, arr in grads.items():
-        arr /= n
-    return loss_sum / n, mask_gradient(trainable, grads)
+    grads.W[...] = dU_total.T @ X - float(n) * np.linalg.inv(p.W).T
+    grads.c[...] = dU_total.sum(axis=0)
+    g = grads.vec
+    g /= n
+    return loss_sum / n, grads
 
 
 def _profile_fit(
@@ -393,7 +375,7 @@ def _profile_fit(
         perm = np.array(list(shared) + [j for j in range(m) if j not in shared])
     out = trainable.copy()
     q = out.params
-    q.W, q.c = p.W[perm], p.c[perm]
+    q.W[...], q.c[...] = p.W[perm], p.c[perm]
     order = np.concatenate([[0], perm + 1])
     moments = moments[:, order][:, :, order]
     pooled = pooled[np.ix_(order, order)]
@@ -405,8 +387,8 @@ def _profile_fit(
         a_shared[j], L_shared[j, :j], var = _regress(pooled, j)
         q.shared_logS[j] = 0.5 * math.log(var)
         nll_rows += n * q.shared_logS[j]
-    q.shared_L = L_shared
-    q.shared_b = np.linalg.solve(np.eye(ns) - L_shared[:, :ns], a_shared)
+    q.shared_L[...] = L_shared
+    q.shared_b[...] = np.linalg.solve(np.eye(ns) - L_shared[:, :ns], a_shared)
     for d0, (cnt, mom) in enumerate(zip(counts, moments)):
         L = np.zeros((m, m))
         L[:ns] = L_shared
@@ -569,57 +551,63 @@ class Adam:
     mechanism parameters use ``learning_rate_f``.  If a step would make the
     observation layer numerically non-invertible (``|det W| < 1e-12``), the
     step is rejected and retried at half the learning rate; moments are
-    updated once per step either way.
+    updated once per step either way.  The moments ``m``, ``v`` and the
+    per-entry learning rates ``lr`` are flat vectors over the parameter buffer.
     """
 
     def __init__(self, config: TrainConfig):
         self.config = config
         self.t = 0
-        self.m: ParamSet | None = None
-        self.v: ParamSet | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self.lr: np.ndarray | None = None
 
     def step(self, params: ParamSet, grads: ParamSet, lr_scale: float = 1.0) -> None:
         cfg = self.config
         if self.m is None:
-            self.m = grads.zeros_like()
-            self.v = grads.zeros_like()
+            self.m = np.zeros_like(grads.vec)
+            self.v = np.zeros_like(grads.vec)
+            lr = grads.zeros_like()
+            lr.vec[:] = cfg.learning_rate_f
+            lr.W[...] = lr.c[...] = cfg.learning_rate_g
+            self.lr = lr.vec
         self.t += 1
         c1 = 1.0 - cfg.beta1**self.t
         c2 = 1.0 - cfg.beta2**self.t
-        deltas = {}
-        for name, g in grads.items():
-            m_arr = getattr(self.m, name)
-            v_arr = getattr(self.v, name)
-            m_arr *= cfg.beta1
-            m_arr += (1.0 - cfg.beta1) * g
-            v_arr *= cfg.beta2
-            v_arr += (1.0 - cfg.beta2) * g**2
-            lr = lr_scale * (cfg.learning_rate_g if name in _G_GROUP else cfg.learning_rate_f)
-            deltas[name] = -lr * (m_arr / c1) / (np.sqrt(v_arr / c2) + ADAM_EPS)
+        g, m, v, x = grads.vec, self.m, self.v, params.vec
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g**2
+        delta = -(lr_scale * self.lr) * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
         scale = 1.0
         for _ in range(60):
-            for name, delta in deltas.items():
-                getattr(params, name).__iadd__(delta * scale)
+            x += delta * scale
             sign, logdet = np.linalg.slogdet(params.W)
             if sign != 0.0 and logdet > math.log(_MIN_ABS_DET):
                 return
-            for name, delta in deltas.items():
-                getattr(params, name).__isub__(delta * scale)
+            x -= delta * scale
             scale *= 0.5
         raise RuntimeError("observation layer stayed singular after 60 step halvings")
 
 
-def adam_step(state: Adam, params: ParamSet, grads: ParamSet) -> Adam:
-    """Functional wrapper around Adam.step; returns the (mutated) state."""
-    state.step(params, grads)
-    return state
-
-
-def train_with_state(
+def train(
     trainable: TrainableILD, dataset, config: TrainConfig
-) -> tuple[ILDModel, list[tuple[int, float, float]], TrainableILD, Adam]:
-    """Like ``train`` but also returns the final parameters and optimizer state."""
+) -> tuple[ILDModel, list[tuple[int, float, float]]]:
+    """Seeded minibatch Adam with validation-based checkpoint selection.
+
+    Each step follows the kink-corrected update (see the module docstring) at
+    learning rates decaying from 10 times the configured rates to them; every
+    500 iterations the kink search may replace rows of the observation layer
+    (and then restarts Adam's moments).
+    Records (iteration, train NLL, validation NLL) at iteration 0 and then
+    every ``eval_every`` iterations, both over the full splits.  Returns the
+    materialized model from the recorded iteration with the lowest validation
+    NLL, plus the history.  The input ``trainable`` is not mutated.  Batches
+    are drawn with replacement from a PCG64 stream seeded by ``config.seed``;
+    the kink search draws from its own stream.
+    """
     Xtr, dtr = as_sample_arrays(dataset.train)
     Xval, dval = as_sample_arrays(dataset.val)
     if len(Xtr) == 0 or len(Xval) == 0:
@@ -658,25 +646,4 @@ def train_with_state(
         if it % config.eval_every == 0:
             record(it)
 
-    best = replace(work, params=best_params)
-    return best.materialize(), history, work, optimizer
-
-
-def train(
-    trainable: TrainableILD, dataset, config: TrainConfig
-) -> tuple[ILDModel, list[tuple[int, float, float]]]:
-    """Seeded minibatch Adam with validation-based checkpoint selection.
-
-    Each step follows the kink-corrected update (see the module docstring) at
-    learning rates decaying from 10 times the configured rates to them; every
-    500 iterations the kink search may replace rows of the observation layer
-    (and then restarts Adam's moments).
-    Records (iteration, train NLL, validation NLL) at iteration 0 and then
-    every ``eval_every`` iterations, both over the full splits.  Returns the
-    materialized model from the recorded iteration with the lowest validation
-    NLL, plus the history.  The input ``trainable`` is not mutated.  Batches
-    are drawn with replacement from a PCG64 stream seeded by ``config.seed``;
-    the kink search draws from its own stream.
-    """
-    model, history, _, _ = train_with_state(trainable, dataset, config)
-    return model, history
+    return replace(work, params=best_params).materialize(), history

@@ -100,7 +100,7 @@ class TestTrain:
         assert set(checkpoint) >= {"model", "variant", "k", "val_nll"}
         history = serialize.read_history_csv(out / "history.csv")
         assert len(history) == 1
-        assert (out / "optimizer_state.json").exists()
+        assert {f.name for f in out.iterdir()} == {"checkpoint.json", "history.csv"}
 
     def test_history_row_count(self, dataset_dir, tmp_path):
         cfg = tmp_path / "train.json"

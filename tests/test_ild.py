@@ -6,12 +6,13 @@ import pytest
 from domcf import (
     AffineDense,
     AffineSCM,
-    DomainSample,
     ILDModel,
     LayerChain,
     LeakyRelu,
     Permute,
+    Split,
     Triangular,
+    as_sample_arrays,
     check_counterfactual_equiv,
     check_distribution_equiv,
     construct_equivalent,
@@ -233,7 +234,7 @@ class TestDcDistance:
     def test_empty_data_rejected(self, rng):
         model = random_model(rng, 3, 2)
         with pytest.raises(ValueError):
-            dc_distance(model, model, [], seed=0)
+            dc_distance(model, model, (np.zeros((0, 3)), np.zeros(0, dtype=int)), seed=0)
 
 
 class TestEquivalenceChecks:
@@ -395,14 +396,17 @@ class TestGroundTruthBoundTerm:
         assert abs(estimate - closed) <= 3 * stderr
 
 
-class TestDomainSample:
-    def test_label_validated(self):
-        with pytest.raises(ValueError):
-            DomainSample(np.zeros(2), 0)
+class TestSampleArrays:
+    def test_split_coercion_matches_pair(self, rng):
+        a, b = random_model(rng, 3, 2), random_model(rng, 3, 2)
+        x, d = probe_points(a, 10, seed=1)
+        got = dc_distance(a, b, Split(x, d), seed=0)
+        assert got > 0.0 and got == dc_distance(a, b, (x, d), seed=0)
 
-    def test_list_coercion_matches_arrays(self, rng):
+    def test_list_rejected(self, rng):
         model = random_model(rng, 3, 2)
-        x, d = probe_points(model, 10, seed=1)
-        samples = [DomainSample(row, int(lab)) for row, lab in zip(x, d)]
-        got = dc_distance(model, model, samples, seed=0)
-        assert got == 0.0
+        x, _ = probe_points(model, 4, seed=1)
+        with pytest.raises(ValueError, match=r"\(X, labels\) pair"):
+            as_sample_arrays(list(x))
+        with pytest.raises(ValueError):
+            dc_distance(model, model, list(x), seed=0)

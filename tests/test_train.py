@@ -20,13 +20,20 @@ from domcf import (
     sample_dataset,
     train,
 )
-from domcf.train import _loss_and_grad, _profile_fit, dataset_nll
+from domcf.train import _KinkSearch, _loss_and_grad, _profile_fit, dataset_nll
 
 
 def perturbed(trainable: TrainableILD, seed: int, scale: float = 0.3) -> TrainableILD:
     gen = np.random.default_rng(seed)
     vec = trainable.free_vector()
     return trainable.with_free_vector(vec + scale * gen.standard_normal(vec.shape))
+
+
+def structural_entries(trainable: TrainableILD) -> np.ndarray:
+    """Buffer entries of ``shared_L``/``dom_L`` on or above the full ``L``'s diagonal."""
+    upper = np.triu(np.ones((trainable.dim, trainable.dim), dtype=bool))
+    p, ns = trainable.params, trainable.shared_rows
+    return np.concatenate([p.shared_L[upper[:ns]], p.dom_L[:, upper[ns:]].ravel()])
 
 
 def model_batch(trainable: TrainableILD, n_per_domain: int, seed: int, min_kink=0.0):
@@ -49,7 +56,7 @@ class TestNllLoss:
     def test_identity_params_at_origin(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
         t = t.with_free_vector(np.zeros_like(t.free_vector()))
-        t.params.W = np.eye(2)
+        t.params.W[...] = np.eye(2)
         batch = (np.zeros((4, 2)), np.array([1, 1, 2, 2]))
         assert nll_loss(t, batch) == pytest.approx(math.log(2 * math.pi))
 
@@ -94,8 +101,8 @@ class TestNllGradient:
         m = 2
         t = TrainableILD.initialize(m, 2, "dense", seed=0)
         t = t.with_free_vector(np.zeros_like(t.free_vector()))
-        t.params.W = np.eye(m)
-        t.params.c = np.array([-0.5, -0.25])
+        t.params.W[...] = np.eye(m)
+        t.params.c[...] = [-0.5, -0.25]
         gen = np.random.default_rng(8)
         X = gen.uniform(2.0, 5.0, size=(40, m))
         labels = np.tile([1, 2], 20)
@@ -109,11 +116,7 @@ class TestNllGradient:
         t = perturbed(TrainableILD.initialize(4, 3, kind, k, seed=10), seed=11)
         X, labels = model_batch(t, 12, seed=12, min_kink=1e-2)
         v0 = t.free_vector()
-        grads = nll_gradient(t, (X, labels))
-        masks = t._free_masks()
-        analytic = np.concatenate(
-            [getattr(grads, name)[masks[name]] for name in masks]
-        )
+        analytic = nll_gradient(t, (X, labels)).vec
         h = 1e-5
         fd = np.zeros_like(v0)
         for i in range(len(v0)):
@@ -144,8 +147,8 @@ class TestNllGradient:
             dense.params.dom_b[d] = np.concatenate(
                 [can.params.shared_b, can.params.dom_b[d]]
             )
-        dense.params.W = can.params.W.copy()
-        dense.params.c = can.params.c.copy()
+        dense.params.W[...] = can.params.W
+        dense.params.c[...] = can.params.c
         X, labels = model_batch(can, 10, seed=15)
         g_can = nll_gradient(can, (X, labels))
         g_dense = nll_gradient(dense, (X, labels))
@@ -159,6 +162,59 @@ class TestNllGradient:
         np.testing.assert_allclose(
             g_can.dom_L, g_dense.dom_L[:, ns:], atol=1e-12
         )
+
+
+class TestParamBuffer:
+    def test_view_write_changes_free_vector(self):
+        t = TrainableILD.initialize(3, 2, "can", k=1, seed=0)
+        before = t.free_vector()
+        t.params.dom_b[1, 0] = 7.0
+        changed = np.flatnonzero(t.free_vector() != before)
+        assert len(changed) == 1 and t.free_vector()[changed[0]] == 7.0
+
+    def test_copy_shares_no_memory(self):
+        t = TrainableILD.initialize(3, 2, "can", k=1, seed=0)
+        assert not np.shares_memory(t.copy().params.vec, t.params.vec)
+        assert not np.shares_memory(t.params.copy().vec, t.params.vec)
+
+    def test_views_cannot_be_rebound(self):
+        t = TrainableILD.initialize(2, 2, "dense", seed=0)
+        with pytest.raises(AttributeError):
+            t.params.W = np.eye(2)
+
+    def test_wrong_length_rejected(self):
+        t = TrainableILD.initialize(2, 2, "dense", seed=0)
+        with pytest.raises(ValueError):
+            t.with_free_vector(np.zeros(t.free_vector().size + 1))
+
+    def test_training_keeps_structural_zeros(self, monkeypatch):
+        m, nd, k = 4, 2, 2
+        spec = GroundTruthSpec(
+            dim=m, num_domains=nd, intervention=(3, 4),
+            n_train=500, n_val=100, n_test=100, seed=31,
+        )
+        ds = sample_dataset(generate_ground_truth(spec), spec)
+        recorded, proposed = [], []
+        real_materialize, real_check = TrainableILD.materialize, _KinkSearch.check
+
+        def materialize(trainable):
+            recorded.append(trainable.copy())
+            return real_materialize(trainable)
+
+        def check(search, work, iteration):
+            changed = real_check(search, work, iteration)
+            if search.pending is not None:
+                proposed.append(work.copy())
+            return changed
+
+        monkeypatch.setattr(TrainableILD, "materialize", materialize)
+        monkeypatch.setattr(_KinkSearch, "check", check)
+        t = TrainableILD.initialize(m, nd, "can", k, seed=31)
+        cfg = TrainConfig(iterations=1000, eval_every=250, batch_size=64, seed=31)
+        train(t, ds, cfg)
+        assert len(proposed) >= 1 and len(recorded) == 1000 // 250 + 2
+        for trainable in recorded + proposed:
+            assert np.all(structural_entries(trainable) == 0.0)
 
 
 class TestAdam:
@@ -175,8 +231,8 @@ class TestAdam:
         before_W = t.params.W.copy()
         before_domb = t.params.dom_b.copy()
         grads = t.params.zeros_like()
-        grads.W = np.full((2, 2), 3.0)
-        grads.dom_b = np.full_like(t.params.dom_b, -2.0)
+        grads.W[...] = 3.0
+        grads.dom_b[...] = -2.0
         opt = Adam(cfg)
         opt.step(t.params, grads)
         # bias-corrected first step is -lr * g / (|g| + eps) per coordinate
@@ -193,7 +249,7 @@ class TestAdam:
         )
         t = TrainableILD.initialize(1, 2, "dense", seed=0)
         grads = t.params.zeros_like()
-        grads.W = np.array([[1.0]])
+        grads.W[...] = 1.0
         opt = Adam(cfg)
         opt.step(t.params, grads)
         # the full step would land exactly on det ~ 0; half of it is accepted
@@ -332,9 +388,11 @@ def trend_truth():
     W = np.linalg.inv(out.G @ standardize.G)
     t = TrainableILD.initialize(6, 3, "can", 2, seed=3)
     p, ns = t.params, t.shared_rows
-    p.W, p.c = W, -W @ (out.G @ standardize.b + out.b)
+    p.W[...], p.c[...] = W, -W @ (out.G @ standardize.b + out.b)
     f0 = gt.scms[0]
-    p.shared_L, p.shared_logS, p.shared_b = f0.L[:ns], np.log(f0.S[:ns]), f0.b[:ns]
+    p.shared_L[...], p.shared_logS[...], p.shared_b[...] = (
+        f0.L[:ns], np.log(f0.S[:ns]), f0.b[:ns]
+    )
     for d0, f in enumerate(gt.scms):
         p.dom_L[d0], p.dom_logS[d0], p.dom_b[d0] = f.L[ns:], np.log(f.S[ns:]), f.b[ns:]
     gt_val = dataset_nll(gt, dataset.val.x, dataset.val.d)
@@ -393,7 +451,7 @@ class TestKinkCorrectedUpdate:
         t, dataset, gt_val = trend_truth
         shuffled = t.copy()
         order = [5, 1, 4, 0, 3, 2]
-        shuffled.params.W, shuffled.params.c = t.params.W[order], t.params.c[order]
+        shuffled.params.W[...], shuffled.params.c[...] = t.params.W[order], t.params.c[order]
         fitted, nll = _profile_fit(
             shuffled, dataset.train.x, dataset.train.d, choose_rows=True
         )
