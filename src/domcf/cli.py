@@ -8,9 +8,10 @@ missing input, 4 shape/validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import replace
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -62,50 +63,71 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _ground_truth_spec(data: dict, seed_override: int | None) -> GroundTruthSpec:
-    try:
-        spec = GroundTruthSpec(
-            dim=int(data["dim"]),
-            num_domains=int(data["num_domains"]),
-            intervention=tuple(data.get("intervention", ())),
-            n_train=int(data.get("n_train", 100_000)),
-            n_val=int(data.get("n_val", 1_000)),
-            n_test=int(data.get("n_test", 1_000)),
-            seed=int(data.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad ground_truth section: {exc}") from exc
-    if seed_override is not None:
-        spec = replace(spec, seed=seed_override)
-    return spec
+def _check_keys(data, allowed, section: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{section}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _train_config(data: dict, seed_override: int | None) -> TrainConfig:
+def _from_json(cls, data, section: str):
+    """Build dataclass ``cls`` from a JSON object keyed by its field names.
+
+    Absent keys take the dataclass defaults; ``section`` names the object in
+    error messages.
+    """
+    hints = typing.get_type_hints(cls)
+    _check_keys(data, hints, section)
+    kwargs = {key: _coerce(hints[key], value, f"{section}.{key}") for key, value in data.items()}
     try:
-        cfg = TrainConfig(
-            learning_rate_g=float(data.get("learning_rate_g", 1e-3)),
-            learning_rate_f=float(data.get("learning_rate_f", 1e-3)),
-            beta1=float(data.get("beta1", 0.5)),
-            beta2=float(data.get("beta2", 0.999)),
-            batch_size=int(data.get("batch_size", 500)),
-            iterations=int(data.get("iterations", 50_000)),
-            eval_every=int(data.get("eval_every", 100)),
-            seed=int(data.get("seed", 0)),
-        )
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
-    return cfg
+        raise ConfigError(f"bad {section}: {exc}") from exc
 
 
-def _variant(data: dict) -> VariantSpec:
+def _coerce(tp, value, where: str):
+    """``value`` as the annotated type ``tp``: ``int``, ``float``, ``X | None``,
+    ``tuple[X, ...]`` (from a JSON array) or a nested dataclass."""
+    args = typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _from_json(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON array, got {type(value).__name__}")
+        return tuple(_coerce(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if args:  # ``X | None``
+        return None if value is None else _coerce(args[0], value, where)
     try:
-        kind = data["kind"]
-        k = data.get("k")
-        return VariantSpec(kind=kind, k=None if k is None else int(k))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad variant: {exc}") from exc
+        return tp(value) if tp in (int, float) else value
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
+
+
+def _parse_generate(config, seed: int | None) -> GroundTruthSpec:
+    _check_keys(config, ("ground_truth", "output_dir"), "config")
+    if "ground_truth" not in config:
+        raise ConfigError("config needs a 'ground_truth' section")
+    spec = _from_json(GroundTruthSpec, config["ground_truth"], "ground_truth")
+    return spec if seed is None else dataclasses.replace(spec, seed=seed)
+
+
+def _parse_train(config, seed: int | None) -> tuple[VariantSpec, TrainConfig]:
+    _check_keys(config, ("dataset_dir", "variant", "train", "output_dir"), "config")
+    if "dataset_dir" not in config:
+        raise ConfigError("config needs 'dataset_dir'")
+    variant = _from_json(VariantSpec, config.get("variant", {"kind": "dense"}), "variant")
+    train_cfg = _from_json(TrainConfig, config.get("train", {}), "train")
+    return variant, (train_cfg if seed is None else dataclasses.replace(train_cfg, seed=seed))
+
+
+def _parse_experiment(config, seed: int | None) -> ExperimentConfig:
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    _check_keys(config, fields + ["output_dir"], "config")
+    exp = _from_json(ExperimentConfig, {k: config[k] for k in fields if k in config}, "config")
+    if seed is None:
+        return exp
+    return dataclasses.replace(exp, ground_truth=dataclasses.replace(exp.ground_truth, seed=seed))
 
 
 def _out_dir(config: dict, args) -> Path:
@@ -129,25 +151,12 @@ def _load_model_file(path):
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
-    if "ground_truth" not in config:
-        raise ConfigError("config needs a 'ground_truth' section")
-    spec = _ground_truth_spec(config["ground_truth"], args.seed)
+    spec = _parse_generate(config, args.seed)
     out = _out_dir(config, args)
     gt = generate_ground_truth(spec)
     dataset = sample_dataset(gt, spec)
     serialize.save_json(serialize.model_to_dict(gt), out / "ground_truth.json")
-    serialize.save_json(
-        {
-            "dim": spec.dim,
-            "num_domains": spec.num_domains,
-            "intervention": list(spec.intervention),
-            "n_train": spec.n_train,
-            "n_val": spec.n_val,
-            "n_test": spec.n_test,
-            "seed": spec.seed,
-        },
-        out / "spec.json",
-    )
+    serialize.save_json(dataclasses.asdict(spec), out / "spec.json")
     for name in ("train", "val", "test"):
         split = getattr(dataset, name)
         serialize.write_dataset_csv(out / f"{name}.csv", split.x, split.d)
@@ -161,8 +170,7 @@ def _load_dataset_dir(dataset_dir) -> MultiDomainDataset:
         raise MissingInput(f"dataset directory not found: {root}")
     for name in ("spec.json", "ground_truth.json", "train.csv", "val.csv", "test.csv"):
         _require_file(root / name, name)
-    spec_data = serialize.load_json(root / "spec.json")
-    spec = _ground_truth_spec(spec_data, None)
+    spec = _from_json(GroundTruthSpec, serialize.load_json(root / "spec.json"), "spec.json")
     gt, _ = _load_model_file(root / "ground_truth.json")
     splits = {}
     for name in ("train", "val", "test"):
@@ -179,11 +187,8 @@ def _load_dataset_dir(dataset_dir) -> MultiDomainDataset:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    if "dataset_dir" not in config:
-        raise ConfigError("config needs 'dataset_dir'")
+    variant, train_cfg = _parse_train(config, args.seed)
     dataset = _load_dataset_dir(config["dataset_dir"])
-    variant = _variant(config.get("variant", {"kind": "dense"}))
-    train_cfg = _train_config(config.get("train", {}), args.seed)
     out = _out_dir(config, args)
 
     spec = dataset.spec
@@ -269,24 +274,7 @@ def cmd_counterfactual(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
-    for key in ("ground_truth", "n_seeds"):
-        if key not in config:
-            raise ConfigError(f"config needs '{key}'")
-    spec = _ground_truth_spec(config["ground_truth"], args.seed)
-    variants = tuple(
-        _variant(v)
-        for v in config.get("variants", [{"kind": "can", "k": 2}, {"kind": "dense"}])
-    )
-    try:
-        exp = ExperimentConfig(
-            ground_truth=spec,
-            variants=variants,
-            train=_train_config(config.get("train", {}), None),
-            n_seeds=int(config["n_seeds"]),
-            output_dir=config.get("output_dir"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    exp = _parse_experiment(config, args.seed)
     out = _out_dir(config, args)
     rows, summary = run_experiment(exp)
     write_results_csv(out / "results.csv", rows, summary)
@@ -307,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory override")
 
@@ -326,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_canon = sub.add_parser("canonicalize", help="rewrite a model in canonical form")
     p_canon.add_argument("--model", required=True)
-    p_canon.add_argument("--seed", type=int, default=None)
     p_canon.add_argument("--out", default=None, help="output directory")
 
     p_cf = sub.add_parser("counterfactual", help="map observations into a target domain")
@@ -334,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--data", required=True)
     p_cf.add_argument("--target-domain", type=int, required=True)
     p_cf.add_argument("--out", required=True)
-    p_cf.add_argument("--seed", type=int, default=None)
 
     add_common(sub.add_parser("experiment", help="multi-seed generate/train/eval loop"))
     return parser

@@ -37,7 +37,7 @@ class GroundTruthSpec:
 
     dim: int
     num_domains: int
-    intervention: tuple[int, ...]
+    intervention: tuple[int, ...] = ()
     n_train: int = 100_000
     n_val: int = 1_000
     n_test: int = 1_000

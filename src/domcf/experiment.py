@@ -23,6 +23,7 @@ from .datagen import (
 from .train import TrainableILD, TrainConfig, dataset_nll, train
 
 RESULT_FIELDS = ("seed", "variant", "k", "cf_error", "val_nll", "test_nll")
+_METRICS = RESULT_FIELDS[3:]
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,9 @@ class ExperimentConfig:
     """Everything one aggregate run needs; ``ground_truth.seed`` is the base seed."""
 
     ground_truth: GroundTruthSpec
-    variants: tuple[VariantSpec, ...]
-    train: TrainConfig
+    variants: tuple[VariantSpec, ...] = (VariantSpec("can", 2), VariantSpec("dense"))
+    train: TrainConfig = TrainConfig()
     n_seeds: int = 1
-    output_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
@@ -71,9 +71,6 @@ class SeedResult:
     cf_error: float
     val_nll: float
     test_nll: float
-
-    def as_row(self) -> list:
-        return [self.seed, self.variant, self.k, self.cf_error, self.val_nll, self.test_nll]
 
 
 def run_seed(config: ExperimentConfig, seed: int) -> list[SeedResult]:
@@ -116,7 +113,7 @@ def summarize(rows: list[SeedResult]) -> dict:
     for variant in sorted({r.variant for r in rows}):
         sub = [r for r in rows if r.variant == variant]
         entry = {"k": sub[0].k, "n_seeds": len(sub)}
-        for metric in ("cf_error", "val_nll", "test_nll"):
+        for metric in _METRICS:
             values = np.asarray([getattr(r, metric) for r in sub])
             entry[f"{metric}_mean"] = float(values.mean())
             entry[f"{metric}_stderr"] = _stderr(values)
@@ -130,22 +127,9 @@ def write_results_csv(path, rows: list[SeedResult], summary: dict) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULT_FIELDS)
         for r in rows:
-            writer.writerow(
-                [r.seed, r.variant, r.k]
-                + [repr(v) for v in (r.cf_error, r.val_nll, r.test_nll)]
-            )
+            writer.writerow([r.seed, r.variant, r.k] + [repr(getattr(r, m)) for m in _METRICS])
         for variant, entry in summary.items():
-            writer.writerow(
-                ["mean", variant, entry["k"]]
-                + [
-                    repr(entry[f"{metric}_mean"])
-                    for metric in ("cf_error", "val_nll", "test_nll")
-                ]
-            )
-            writer.writerow(
-                ["stderr", variant, entry["k"]]
-                + [
-                    repr(entry[f"{metric}_stderr"])
-                    for metric in ("cf_error", "val_nll", "test_nll")
-                ]
-            )
+            for stat in ("mean", "stderr"):
+                writer.writerow(
+                    [stat, variant, entry["k"]] + [repr(entry[f"{m}_{stat}"]) for m in _METRICS]
+                )

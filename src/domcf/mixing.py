@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .scm import AffineSCM, DimensionMismatch, _frozen_array
+from .scm import AffineSCM, DimensionMismatch, _check_vector, _frozen_array
 
 _MIN_ABS_DET = 1e-12
 
@@ -224,22 +224,14 @@ class LayerChain:
                 )
         object.__setattr__(self, "layers", layers)
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"expected trailing dimension {self.dim}, got shape {x.shape}"
-            )
-        return x
-
     def forward(self, x):
-        v = self._check(x)
+        v = _check_vector(x, self.dim)
         for layer in self.layers:
             v = layer.forward(v)
         return v
 
     def inverse(self, y):
-        v = self._check(y)
+        v = _check_vector(y, self.dim)
         for layer in reversed(self.layers):
             v = layer.inverse(v)
         return v
@@ -252,7 +244,7 @@ class LayerChain:
         per-layer terms are summed in forward order.  Returns ``(x, scalar)``
         for a single input and ``(x, (n,) array)`` for a batch.
         """
-        v = self._check(y)
+        v = _check_vector(y, self.dim)
         terms = []
         for layer in reversed(self.layers):
             v = layer.inverse(v)

@@ -42,6 +42,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _check_vector(x, dim: int) -> np.ndarray:
+    """``x`` as a float vector ``(dim,)`` or batch ``(n, dim)``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise DimensionMismatch(f"expected trailing dimension {dim}, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class AffineSCM:
     """Invertible autoregressive affine mechanism ``z = F eps + b``.
@@ -132,20 +140,12 @@ class AffineSCM:
         M = np.eye(self.dim) - self.L
         return M / self.S[:, None]
 
-    def _check_vector(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"expected trailing dimension {self.dim}, got shape {x.shape}"
-            )
-        return x
-
     def forward(self, eps) -> np.ndarray:
         """Evaluate ``z = F eps + b`` by forward substitution on ``(I - L)``.
 
         Accepts a single vector ``(m,)`` or a batch ``(n, m)``.
         """
-        eps = self._check_vector(eps)
+        eps = _check_vector(eps, self.dim)
         m = self.dim
         M = np.eye(m) - self.L
         rhs = (eps * self.S).T if eps.ndim == 2 else eps * self.S
@@ -157,7 +157,7 @@ class AffineSCM:
 
     def inverse(self, z) -> np.ndarray:
         """Evaluate ``eps = diag(S)^{-1} (I - L)(z - b)`` exactly."""
-        z = self._check_vector(z)
+        z = _check_vector(z, self.dim)
         M = np.eye(self.dim) - self.L
         return ((z - self.b) @ M.T) / self.S
 

@@ -153,19 +153,10 @@ class TrainableILD:
     dimension for "dense".
     """
 
-    kind: str
     dim: int
     num_domains: int
     domain_rows: int
     params: ParamSet
-
-    def __post_init__(self):
-        if self.kind not in ("can", "dense"):
-            raise ValueError(f"kind must be 'can' or 'dense', got {self.kind!r}")
-        if not 0 <= self.domain_rows <= self.dim:
-            raise ValueError("domain_rows must lie in [0, dim]")
-        if self.kind == "dense" and self.domain_rows != self.dim:
-            raise ValueError("dense means every row is per-domain")
 
     @property
     def k(self) -> int:
@@ -188,7 +179,11 @@ class TrainableILD:
         with ``log S = 0``; the output layer starts at the identity with zero
         bias (``W = I``, ``c = 0``).
         """
+        if kind not in ("can", "dense"):
+            raise ValueError(f"kind must be 'can' or 'dense', got {kind!r}")
         kk = dim if kind == "dense" else int(k if k is not None else dim)
+        if not 0 <= kk <= dim:
+            raise ValueError(f"k={kk} must lie in [0, dim={dim}]")
         ns = dim - kk
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _INIT_STREAM])))
         strict = np.tril(np.ones((dim, dim)), k=-1)
@@ -200,7 +195,7 @@ class TrainableILD:
         params.shared_b[...] = b_all[0, :ns]
         params.dom_L[...] = L_all[:, ns:]
         params.dom_b[...] = b_all[:, ns:]
-        return cls(kind, dim, num_domains, kk, params)
+        return cls(dim, num_domains, kk, params)
 
     def copy(self) -> TrainableILD:
         return replace(self, params=self.params.copy())
@@ -220,16 +215,6 @@ class TrainableILD:
         logS = np.concatenate([p.shared_logS, p.dom_logS[d0]])
         b = np.concatenate([p.shared_b, p.dom_b[d0]])
         return L, logS, b
-
-    @property
-    def G(self) -> np.ndarray:
-        """Forward-direction mixing matrix ``W^{-1}``."""
-        return np.linalg.inv(self.params.W)
-
-    @property
-    def b_g(self) -> np.ndarray:
-        """Forward-direction mixing bias ``-W^{-1} c``."""
-        return -np.linalg.inv(self.params.W) @ self.params.c
 
     def materialize(self) -> ILDModel:
         """The current parameters as an immutable model."""
@@ -518,10 +503,7 @@ def nll_loss(trainable: TrainableILD, batch) -> float:
     The domain-marginal factor of the joint density is parameter-free and
     omitted.
     """
-    X, labels = as_sample_arrays(batch)
-    if len(X) == 0:
-        raise ValueError("batch must be non-empty")
-    return dataset_nll(trainable.materialize(), X, labels)
+    return dataset_nll(trainable.materialize(), *as_sample_arrays(batch))
 
 
 def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
@@ -537,6 +519,8 @@ def dataset_nll(model: ILDModel, X, labels) -> float:
     """Mean negative log-likelihood of labeled observations under ``model``."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=int)
+    if len(X) == 0:
+        raise ValueError("samples must be non-empty")
     total = 0.0
     for d in np.unique(labels):
         mask = labels == d

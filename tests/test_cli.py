@@ -1,11 +1,17 @@
 import csv
 import json
+import re
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from domcf import AffineSCM, AffineDense, ILDModel, LayerChain, serialize
+from domcf import AffineSCM, AffineDense, GroundTruthSpec, ILDModel, LayerChain, serialize
+from domcf import cli
 from domcf.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_json(path, data):
@@ -72,6 +78,10 @@ class TestGenerate:
             assert (tmp_path / "data2" / name).read_bytes() == (
                 dataset_dir / name
             ).read_bytes()
+
+    def test_spec_json_is_the_dataclass(self, dataset_dir):
+        spec = GroundTruthSpec(2, 2, (2,), n_train=60, n_val=30, n_test=30, seed=3)
+        assert (dataset_dir / "spec.json").read_text() == json.dumps(asdict(spec), indent=2) + "\n"
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -205,6 +215,21 @@ class TestEval:
         assert code == 4
         assert "line 2" in capsys.readouterr().err
 
+    def test_empty_val_exits_4(self, dataset_dir, tmp_path, capsys):
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text((dataset_dir / "val.csv").read_text().splitlines()[0] + "\n")
+        code = main(
+            [
+                "eval",
+                "--model", str(dataset_dir / "ground_truth.json"),
+                "--ground-truth", str(dataset_dir / "ground_truth.json"),
+                "--test", str(dataset_dir / "test.csv"),
+                "--val", str(header_only),
+            ]
+        )
+        assert code == 4
+        assert "non-empty" in capsys.readouterr().err
+
 
 class TestCanonicalize:
     def test_demo_model_swaps(self, tmp_path, capsys):
@@ -298,3 +323,68 @@ class TestExperiment:
         cfg = tmp_path / "exp.json"
         write_json(cfg, {"n_seeds": 1})
         assert main(["experiment", "--config", str(cfg)]) == 2
+
+
+GT_2D = {"dim": 2, "num_domains": 2, "intervention": [2], "n_train": 20, "n_val": 10,
+         "n_test": 10}
+NO_STEPS = {"iterations": 0}
+
+
+class TestConfigKeys:
+    """A config key must be a field the command reads; anything else exits 2."""
+
+    def run(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {**config, "output_dir": str(tmp_path / "out")})
+        return main([command, "--config", str(cfg)])
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("generate", {"ground_truth": {**GT_2D, "n_trian": 5}}, "n_trian"),
+            ("train", {"dataset_dir": "absent", "train": {"iteration": 5}}, "iteration"),
+            ("train", {"dataset_dir": "absent", "variant": {"kind": "can", "kk": 1}}, "kk"),
+            ("experiment", {"ground_truth": {**GT_2D, "sed": 1}, "train": NO_STEPS}, "sed"),
+            (
+                "experiment",
+                {"ground_truth": GT_2D, "train": NO_STEPS, "variants": [{"kind": "dense", "K": 1}]},
+                "K",
+            ),
+        ],
+    )
+    def test_unknown_section_key_exits_2(self, tmp_path, capsys, command, config, key):
+        assert self.run(tmp_path, command, config) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("generate", {"ground_truth": GT_2D, "outdir": "x"}, "outdir"),
+            ("train", {"dataset_dir": "absent", "n_seeds": 1}, "n_seeds"),
+            ("experiment", {"ground_truth": GT_2D, "train": NO_STEPS, "n_seed": 2}, "n_seed"),
+        ],
+    )
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys, command, config, key):
+        assert self.run(tmp_path, command, config) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("train", {"dataset_dir": "absent", "train": []}),
+            ("train", {"dataset_dir": "absent", "variant": "dense"}),
+            ("experiment", {"ground_truth": GT_2D, "train": NO_STEPS, "variants": {"kind": "dense"}}),
+        ],
+    )
+    def test_non_object_section_exits_2(self, tmp_path, capsys, command, config):
+        assert self.run(tmp_path, command, config) == 2
+        assert "must be a JSON" in capsys.readouterr().err
+
+
+def test_readme_config_examples_build():
+    """The README's generate, train and experiment configs parse as the CLI parses them."""
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    parsers = (cli._parse_generate, cli._parse_train, cli._parse_experiment)
+    assert len(blocks) == len(parsers)
+    for parse, block in zip(parsers, blocks):
+        parse(json.loads(block), None)

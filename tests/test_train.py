@@ -70,7 +70,8 @@ class TestNllLoss:
     def test_matches_change_of_variables_reimplementation(self, rng):
         t = perturbed(TrainableILD.initialize(3, 2, "can", k=1, seed=4), seed=5)
         X, labels = model_batch(t, 15, seed=6)
-        G, b_g = t.G, t.b_g
+        out = t.materialize().g.layers[1]
+        G, b_g = out.G, out.b
         total = 0.0
         for x, d in zip(X, labels):
             L, logS, b = t.domain_arrays(d - 1)
@@ -181,6 +182,13 @@ class TestParamBuffer:
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
         with pytest.raises(AttributeError):
             t.params.W = np.eye(2)
+
+    @pytest.mark.parametrize(
+        "kind, k, match", [("can", 9, r"k=9 .*dim=2"), ("can", -1, r"k=-1"), ("sparse", 1, "kind")]
+    )
+    def test_initialize_rejects_bad_variant(self, kind, k, match):
+        with pytest.raises(ValueError, match=match):
+            TrainableILD.initialize(2, 2, kind, k)
 
     def test_wrong_length_rejected(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
