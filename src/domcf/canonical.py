@@ -1,16 +1,16 @@
 """Rewriting a model so the intervened coordinates are the trailing ones.
 
-The pipeline has three steps:
+The family is held as stacked inverse maps ``F_inv`` (nd, m, m) and biases
+``b`` (nd, m), and goes through three array passes:
 
-1. Rebase every mechanism on the first domain's, making domain 1 the identity
-   (``f_d -> f_1^{-1} o f_d``, observation ``g -> g o f_1``).
+1. Rebase on domain 1 (``f_d -> f_1^{-1} o f_d``, ``g -> g o f_1``): one
+   batched product ``F_d^{-1} F_1``; domain 1 becomes exactly the identity.
 2. Repeatedly swap the largest intervened coordinate below the largest
-   non-intervened coordinate up into its place.  Each swap conjugates every
-   mechanism with a self-inverse coordinate swap and right-composes the
-   observation chain with the same swap; triangularity survives because the
-   coordinates in between are non-intervened.
-3. Undo the rebasing (``f_d -> f_1 o f_d``, ``g -> g o f_1^{-1}``) to restore
-   a general canonical model alongside the identity-first one.
+   non-intervened one up into its place: permute every stacked map and
+   right-compose ``g`` with the swap.  The permuted maps stay lower triangular
+   because the coordinates in between are non-intervened.
+3. Undo the rebasing (``f_d -> f_1 o f_d``, ``g -> g o f_1^{-1}``), one more
+   product; mechanisms are built only for the two returned models.
 
 Every step preserves all domain counterfactuals, every domain's observed
 distribution, and the intervention set size.
@@ -25,11 +25,11 @@ from .ild import ILDModel
 from .mixing import Permute, Triangular
 from .scm import (
     DEFAULT_INTERVENTION_TOL,
+    TRIANGULARITY_TOL,
     AffineSCM,
     InterventionSet,
-    NonPositiveDiagonal,
-    NotLowerTriangular,
-    compose,
+    _stack,
+    _stacked_intervention_set,
     intervention_set,
 )
 
@@ -75,6 +75,20 @@ def _is_identity(f: AffineSCM, tol: float = IDENTITY_TOL) -> bool:
     )
 
 
+def _swap(g, F_inv: np.ndarray, b: np.ndarray, j: int, j_prime: int):
+    """Conjugate every mechanism with the swap of ``j`` and ``j_prime``; extend ``g``."""
+    perm = Permute.swap(F_inv.shape[-1], j, j_prime)
+    idx = np.asarray(perm.pi) - 1
+    F_inv, b = F_inv[:, idx][:, :, idx], b[:, idx]
+    upper = float(np.abs(np.triu(F_inv, k=1)).max())
+    if upper > TRIANGULARITY_TOL or np.any(np.diagonal(F_inv, axis1=1, axis2=2) <= 0.0):
+        raise TriangularityBroken(
+            f"swap ({j}, {j_prime}) broke triangularity: upper entries up to "
+            f"{upper:.3e} (tolerance {TRIANGULARITY_TOL:.0e}) or a non-positive diagonal"
+        )
+    return g.append_right(perm), F_inv, b
+
+
 def swap_indices(
     model: ILDModel, j: int, j_prime: int, tol: float = DEFAULT_INTERVENTION_TOL
 ) -> ILDModel:
@@ -91,27 +105,15 @@ def swap_indices(
         raise PreconditionViolated("domain 1 must be the identity mechanism")
     if not (1 <= j < j_prime <= m):
         raise PreconditionViolated(f"need 1 <= j < j' <= {m}, got j={j}, j'={j_prime}")
-    iset = intervention_set(model.scms, tol)
+    F_inv, b = _stack(model.scms)
+    iset = _stacked_intervention_set(F_inv, b, tol)
     if j not in iset:
         raise PreconditionViolated(f"j={j} is not in the intervention set {iset.indices}")
     blocked = [t for t in range(j + 1, j_prime + 1) if t in iset]
     if blocked:
-        raise PreconditionViolated(
-            f"indices {blocked} in ({j}, {j_prime}] are intervened"
-        )
-    perm = Permute.swap(m, j, j_prime)
-    idx = np.asarray(perm.pi, dtype=int) - 1
-    new_scms = []
-    for f in model.scms:
-        F = f.matrix[np.ix_(idx, idx)]
-        b = f.b[idx]
-        try:
-            new_scms.append(AffineSCM.from_matrix(F, b))
-        except (NotLowerTriangular, NonPositiveDiagonal) as exc:
-            raise TriangularityBroken(
-                f"swap ({j}, {j_prime}) broke triangularity: {exc}"
-            ) from exc
-    return ILDModel(model.g.append_right(perm), tuple(new_scms))
+        raise PreconditionViolated(f"indices {blocked} in ({j}, {j_prime}] are intervened")
+    g, F_inv, b = _swap(model.g, F_inv, b, j, j_prime)
+    return ILDModel(g, tuple(map(AffineSCM.from_inverse, F_inv, b)))
 
 
 def canonicalize(
@@ -127,21 +129,21 @@ def canonicalize(
     strictly increases the sum of intervened indices.
     """
     m = model.dim
-    original = intervention_set(model.scms, tol)
+    F_inv, b = _stack(model.scms)
+    original = _stacked_intervention_set(F_inv, b, tol)
     steps: list[str] = []
 
     f1 = model.scms[0]
-    f1_inv = f1.invert()
-    rebased = [AffineSCM.identity(m)]
-    rebased.extend(compose(f1_inv, f) for f in model.scms[1:])
-    current = ILDModel(model.g.append_right(Triangular(f1)), tuple(rebased))
+    F_inv = F_inv @ f1.matrix
+    b = (b - f1.b) @ f1.inverse_matrix.T
+    F_inv[0], b[0] = np.eye(m), 0.0
+    g = model.g.append_right(Triangular(f1))
     steps.append("step1: rebased all mechanisms so domain 1 is the identity")
 
     swaps: list[tuple[int, int]] = []
     k = original.size
-    max_swaps = k * (m - k) + 1
-    for _ in range(max_swaps):
-        iset = intervention_set(current.scms, tol)
+    for _ in range(k * (m - k) + 1):
+        iset = _stacked_intervention_set(F_inv, b, tol)
         free = [t for t in range(1, m + 1) if t not in iset]
         if not free:
             break
@@ -150,18 +152,15 @@ def canonicalize(
         if not hits:
             break
         j = max(hits)
-        current = swap_indices(current, j, j_prime, tol)
+        g, F_inv, b = _swap(g, F_inv, b, j, j_prime)
         swaps.append((j, j_prime))
         steps.append(f"step2: swapped coordinates {j} and {j_prime}")
     else:
         raise RuntimeError("swap phase failed to terminate; detection tolerance too loose?")
 
-    identity_canonical = current
-
-    restored = tuple(compose(f1, f) for f in current.scms)
-    canonical = ILDModel(
-        current.g.append_right(Triangular(f1_inv)), restored
-    )
+    identity_canonical = ILDModel(g, tuple(map(AffineSCM.from_inverse, F_inv, b)))
+    restored = map(AffineSCM.from_inverse, F_inv @ f1.inverse_matrix, b @ f1.matrix.T + f1.b)
+    canonical = ILDModel(g.append_right(Triangular(f1.invert())), tuple(restored))
     steps.append("step3: restored domain 1's original mechanism")
 
     final = intervention_set(canonical.scms, tol)

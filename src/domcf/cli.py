@@ -87,8 +87,9 @@ def _from_json(cls, data, section: str):
 
 
 def _coerce(tp, value, where: str):
-    """``value`` as the annotated type ``tp``: ``int``, ``float``, ``X | None``,
-    ``tuple[X, ...]`` (from a JSON array) or a nested dataclass."""
+    """``value`` as the annotated type ``tp``: ``int`` (a boolean or a
+    non-integral number is refused), ``float``, ``X | None``, ``tuple[X, ...]``
+    (from a JSON array) or a nested dataclass."""
     args = typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
         return _from_json(tp, value, where)
@@ -99,6 +100,9 @@ def _coerce(tp, value, where: str):
     if args:  # ``X | None``
         return None if value is None else _coerce(args[0], value, where)
     try:
+        non_integral = isinstance(value, float) and not value.is_integer()
+        if tp is int and (isinstance(value, bool) or non_integral):
+            raise ValueError(f"expected an integer, got {json.dumps(value)}")
         return tp(value) if tp in (int, float) else value
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc

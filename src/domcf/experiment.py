@@ -38,6 +38,8 @@ class VariantSpec:
             raise ValueError(f"variant kind must be 'can' or 'dense', got {self.kind!r}")
         if self.kind == "can" and (self.k is None or self.k < 0):
             raise ValueError("'can' needs a non-negative target intervention size k")
+        if self.kind == "dense" and self.k is not None:
+            raise ValueError(f"'dense' takes no k, got k={self.k}")
 
     def label(self) -> str:
         return f"can{self.k}" if self.kind == "can" else "dense"

@@ -96,9 +96,9 @@ class ILDModel:
 
         Mechanisms are affine, so ``f_d' o f_d^{-1}`` is the affine map
         ``z -> A z + c`` with ``A = F_d' F_d^{-1}`` and ``c = b_d' - A b_d``.
-        The map is rebuilt on each call (one ``m x m`` triangular solve and
-        product); the batch then goes through ``g(A g^{-1}(x) + c)`` with no
-        per-row solve.
+        The map is rebuilt on each call (one ``m x m`` product of the
+        mechanisms' cached matrices); the batch then goes through
+        ``g(A g^{-1}(x) + c)`` with no solve.
         """
         f_from, f_to = self._scm(d), self._scm(d_prime)
         A = f_to.matrix @ f_from.inverse_matrix

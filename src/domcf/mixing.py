@@ -186,7 +186,7 @@ class Triangular:
         return self.scm.dim
 
     def forward(self, x):
-        return self.scm.forward(x)
+        return x @ self.scm.matrix.T + self.scm.b
 
     def inverse(self, y):
         return self.scm.inverse(y)

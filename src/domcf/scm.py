@@ -12,6 +12,7 @@ internal numpy arrays are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -125,20 +126,28 @@ class AffineSCM:
         L = np.tril(np.eye(m) - S[:, None] * A_inv, k=-1)
         return cls(L, S, b)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense ``F = (I - L)^{-1} diag(S)``."""
-        m = self.dim
-        M = np.eye(m) - self.L
-        return solve_triangular(
-            M, np.diag(self.S), lower=True, unit_diagonal=True, check_finite=False
-        )
+    @classmethod
+    def from_inverse(cls, F_inv, b) -> AffineSCM:
+        """The mechanism whose inverse map is ``F_inv``, with no solve.
 
-    @property
+        ``S = 1/diag(F_inv)`` and ``L = I - diag(S) F_inv`` below the diagonal;
+        the upper triangle of ``F_inv`` is ignored.
+        """
+        S = 1.0 / np.diag(F_inv)
+        return cls(np.tril(np.eye(len(S)) - S[:, None] * F_inv, k=-1), S, b)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense ``F = (I - L)^{-1} diag(S)``, solved once on first use (read-only)."""
+        return _frozen_array(solve_triangular(
+            np.eye(self.dim) - self.L, np.diag(self.S),
+            lower=True, unit_diagonal=True, check_finite=False,
+        ))
+
+    @cached_property
     def inverse_matrix(self) -> np.ndarray:
-        """Dense ``F^{-1} = diag(1/S) (I - L)``."""
-        M = np.eye(self.dim) - self.L
-        return M / self.S[:, None]
+        """Dense ``F^{-1} = diag(1/S) (I - L)``, built once on first use (read-only)."""
+        return _frozen_array((np.eye(self.dim) - self.L) / self.S[:, None])
 
     def forward(self, eps) -> np.ndarray:
         """Evaluate ``z = F eps + b`` by forward substitution on ``(I - L)``.
@@ -167,10 +176,7 @@ class AffineSCM:
 
     def invert(self) -> AffineSCM:
         """The mechanism computing ``eps = F^{-1}(z - b)`` as an AffineSCM."""
-        m = self.dim
-        F = self.matrix
-        F_inv = solve_triangular(F, np.eye(m), lower=True, check_finite=False)
-        return AffineSCM.from_matrix(F_inv, -F_inv @ self.b)
+        return AffineSCM.from_inverse(self.matrix, -(self.inverse_matrix @ self.b))
 
     def allclose(self, other: AffineSCM, tol: float = 1e-12) -> bool:
         """Field-level closeness of (L, S, b)."""
@@ -233,12 +239,21 @@ def intervention_set(
     for f in scms:
         if f.dim != m:
             raise DimensionMismatch("all mechanisms must share one dimension")
-    rows = np.stack([f.inverse_matrix for f in scms])
-    offs = np.stack([-row @ f.b for row, f in zip(rows, scms)])
-    hit = np.zeros(m, dtype=bool)
-    for a in range(len(scms)):
-        for c in range(a + 1, len(scms)):
-            row_dev = np.max(np.abs(rows[a] - rows[c]), axis=1)
-            off_dev = np.abs(offs[a] - offs[c])
-            hit |= np.maximum(row_dev, off_dev) > tol
-    return InterventionSet(tuple(int(j) + 1 for j in np.nonzero(hit)[0]), tol)
+    return _stacked_intervention_set(*_stack(scms), tol)
+
+
+def _stack(scms) -> tuple[np.ndarray, np.ndarray]:
+    """A family as new arrays ``F_inv`` (nd, m, m) and ``b`` (nd, m)."""
+    return np.stack([f.inverse_matrix for f in scms]), np.stack([f.b for f in scms])
+
+
+def _stacked_intervention_set(F_inv: np.ndarray, b: np.ndarray, tol: float) -> InterventionSet:
+    """``intervention_set`` of the stacks ``F_inv`` and ``b``.
+
+    An entry's largest pairwise deviation is its range over domains; rounding
+    is monotone (``max`` over pairs of ``fl(|a - c|)`` is ``fl(max - min)``),
+    so the decisions match a pairwise loop bit for bit.
+    """
+    offs = -(F_inv @ b[:, :, None])[:, :, 0]
+    dev = np.maximum(np.ptp(F_inv, axis=0).max(axis=1), np.ptp(offs, axis=0))
+    return InterventionSet(tuple(int(j) + 1 for j in np.nonzero(dev > tol)[0]), tol)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domcf import (
     AffineDense,
@@ -147,3 +149,31 @@ class TestCanonicalize:
         assert any("step1" in s for s in report.steps)
         assert any("step3" in s for s in report.steps)
         assert len([s for s in report.steps if "step2" in s]) == len(report.swaps)
+
+
+@st.composite
+def families(draw):
+    """(m, number of domains, intervention subset, seed) for ``family_with_intervention``."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    nd = draw(st.integers(min_value=2, max_value=5))
+    subset = draw(st.sets(st.integers(min_value=1, max_value=m)))
+    return m, nd, tuple(sorted(subset)), draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(families())
+def test_canonicalize_property(params):
+    m, nd, indices, seed = params
+    model = family_with_intervention(np.random.default_rng(seed), m, nd, indices)
+    canonical, identity_canonical, report = canonicalize(model)
+    k = len(indices)
+    assert report.original_intervention.indices == indices
+    assert report.final_intervention.indices == tuple(range(m - k + 1, m + 1))
+    assert len(report.swaps) <= k * (m - k)
+    assert identity_canonical.scms[0].allclose(AffineSCM.identity(m), tol=0.0)
+    pts = probe_points(model, 60, seed=seed % 1000)
+    for other in (canonical, identity_canonical):
+        assert is_canonical(other)[0]
+        for check in (check_counterfactual_equiv, check_distribution_equiv):
+            ok, dev = check(model, other, pts, tol=1e-6)
+            assert ok, (check.__name__, dev)

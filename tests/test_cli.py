@@ -380,6 +380,27 @@ class TestConfigKeys:
         assert self.run(tmp_path, command, config) == 2
         assert "must be a JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("variant", "k", 1.7), ("train", "batch_size", True), ("train", "iterations", False)],
+    )
+    def test_non_integral_int_exits_2(self, tmp_path, capsys, section, key, value):
+        config = {"dataset_dir": "absent", "variant": {"kind": "can", "k": 1}, "train": {}}
+        config[section][key] = value
+        assert self.run(tmp_path, "train", config) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_integral_float_int_is_coerced(self, dataset_dir, tmp_path):
+        config = {"dataset_dir": str(dataset_dir), "variant": {"kind": "can", "k": 2.0},
+                  "train": {"iterations": 0, "batch_size": 16.0}}
+        assert self.run(tmp_path, "train", config) == 0
+        assert json.loads((tmp_path / "out" / "checkpoint.json").read_text())["k"] == 2
+
+    def test_dense_with_k_exits_2(self, tmp_path, capsys):
+        config = {"dataset_dir": "absent", "variant": {"kind": "dense", "k": 99}}
+        assert self.run(tmp_path, "train", config) == 2
+        assert "k=99" in capsys.readouterr().err
+
 
 def test_readme_config_examples_build():
     """The README's generate, train and experiment configs parse as the CLI parses them."""

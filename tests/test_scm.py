@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,18 @@ class TestInvert:
             assert f.invert().invert().allclose(f, tol=1e-12)
 
 
+class TestCachedMatrices:
+    def test_computed_once_and_read_only(self, rng):
+        f = random_scm(rng, 5)
+        for name in ("matrix", "inverse_matrix"):
+            M = getattr(f, name)
+            assert getattr(f, name) is M and not M.flags.writeable
+
+    def test_from_inverse_round_trips(self, rng):
+        f = random_scm(rng, 6)
+        assert AffineSCM.from_inverse(f.inverse_matrix, f.b).allclose(f, tol=1e-12)
+
+
 class TestFromMatrix:
     def test_identity(self):
         f = AffineSCM.from_matrix(np.eye(3), np.zeros(3))
@@ -257,3 +271,44 @@ def test_round_trip_property(m, seed):
     eps = gen.standard_normal(m)
     np.testing.assert_allclose(f.inverse(f.forward(eps)), eps, atol=1e-12)
     np.testing.assert_allclose(f.forward(f.inverse(eps)), eps, atol=1e-12)
+
+
+def pairwise_intervention(scms, tol):
+    """Reference intervention set: compare inverse rows and offsets pair by pair."""
+    rows = [f.inverse_matrix for f in scms]
+    offs = [-(r @ f.b) for r, f in zip(rows, scms)]
+    hit = set()
+    for a, c in combinations(range(len(scms)), 2):
+        for j in range(scms[0].dim):
+            dev = max(np.max(np.abs(rows[a][j] - rows[c][j])), abs(offs[a][j] - offs[c][j]))
+            if dev > tol:
+                hit.add(j + 1)
+    return tuple(sorted(hit))
+
+
+TOL = 2.0**-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_intervention_set_matches_pairwise_reference(m, nd, seed):
+    """Dyadic entries make every difference exact, so deviations of exactly
+    ``TOL`` (not intervened) and just above it are both exercised."""
+    gen = np.random.default_rng(seed)
+    L0 = np.tril(gen.integers(-16, 17, size=(m, m)) / 8.0, k=-1)
+    b0 = gen.integers(-16, 17, size=m) / 8.0 * gen.integers(0, 2)
+    S0 = gen.choice([0.5, 1.0, 2.0], size=m)
+    steps = np.array([0.0, TOL, -TOL, 2 * TOL, TOL / 2])
+    family = []
+    for _ in range(nd):
+        L = L0 + np.tril(gen.choice(steps, size=(m, m)) * (gen.random((m, m)) < 0.2), k=-1)
+        b = b0 + gen.choice(steps, size=m) * (gen.random(m) < 0.2)
+        S = np.where(gen.random(m) < 0.1, 1.5 * S0, S0)
+        family.append(AffineSCM(L, S, b))
+    assert intervention_set(family, TOL).indices == pairwise_intervention(family, TOL)
+    random_family = [random_scm(gen, m) for _ in range(nd)]
+    assert intervention_set(random_family, TOL).indices == pairwise_intervention(random_family, TOL)
