@@ -228,12 +228,9 @@ def oracle_counterfactual_error(estimated: ILDModel, gt: ILDModel, test) -> floa
         mask = labels == d
         if not np.any(mask):
             raise ValueError(f"test set has no samples for domain {d}")
-        Xd = X[mask]
+        diff = estimated.counterfactuals(X[mask], d)
+        diff -= gt.counterfactuals(X[mask], d)
         for d_prime in range(1, nd + 1):
-            if d_prime == d:
-                continue
-            diff = estimated.counterfactual(Xd, d, d_prime) - gt.counterfactual(
-                Xd, d, d_prime
-            )
-            total += float(np.mean(np.sum(diff**2, axis=1)))
+            if d_prime != d:
+                total += float(np.mean(np.sum(diff[d_prime - 1] ** 2, axis=1)))
     return 2.0 / (nd * (nd - 1)) * total

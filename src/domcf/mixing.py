@@ -4,11 +4,21 @@ Canonicalization composes the observation function with triangular mechanisms
 and coordinate swaps, so the representation has to be closed under those
 compositions: a chain of primitive invertible layers is the minimal such
 representation.  Layers are applied first-to-last on the forward pass.
+
+``LayerChain.layers`` is the public form (serialization, inversion, the
+Lipschitz bound, canonicalization).  Evaluation walks *stages* instead, built
+on first use: each maximal run of adjacent affine layers (dense, triangular,
+permutation) is fused into one cached map ``y = G x + b`` with its inverse
+``G^{-1}``, composed from the layers' own cached matrices, and each leaky ReLU
+is a stage of its own.  A leaky ReLU is ``max(x, s x)`` (``min`` for ``s > 1``),
+which equals the two-branch form bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from typing import Union
 
 import numpy as np
@@ -113,13 +123,20 @@ class LeakyRelu:
 
     dim = None
 
+    # With s <= 1, s*v lies between v and 0, so the branch ``v >= 0`` keeps
+    # the larger of v and s*v (and the smaller of v and v/s); s > 1 swaps
+    # the two.  Rounding keeps s*v on the same side of v, and both candidates
+    # carry v's sign, so the result is bit-identical to the two-branch form,
+    # -0.0 and NaN included.
     def forward(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, x, self.slope * x)
+        out = np.multiply(x, self.slope, out=np.empty_like(x))
+        return (np.maximum if self.slope <= 1.0 else np.minimum)(x, out, out=out)
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
-        return np.where(y >= 0.0, y, y / self.slope)
+        out = np.divide(y, self.slope, out=np.empty_like(y))
+        return (np.minimum if self.slope <= 1.0 else np.maximum)(y, out, out=out)
 
     def log_abs_det(self, x):
         x = np.asarray(x, dtype=float)
@@ -206,10 +223,53 @@ Layer = Union[AffineDense, LeakyRelu, Permute, Triangular]
 
 
 @dataclass(frozen=True)
+class _AffineStage:
+    """A run of adjacent affine layers fused into ``y = G x + b``.
+
+    ``log_dets`` are the layers' constant log-dets in forward order, so a
+    likelihood adds them one at a time, as a walk over the layers would.
+    """
+
+    G: np.ndarray
+    b: np.ndarray
+    G_inv: np.ndarray
+    log_dets: tuple[float, ...]
+
+    @classmethod
+    def fuse(cls, run: tuple[Layer, ...]) -> _AffineStage:
+        """Compose the layers' cached matrices; no factorization, no new check."""
+        G, b, G_inv = _affine_map(run[0])
+        for layer in run[1:]:
+            G_l, b_l, G_inv_l = _affine_map(layer)
+            G, b, G_inv = G_l @ G, G_l @ b + b_l, G_inv @ G_inv_l
+        return cls(G, b, G_inv, tuple(layer.log_abs_det(None) for layer in run))
+
+    def forward(self, x):
+        out = x @ self.G.T
+        out += self.b
+        return out
+
+    def inverse(self, y):
+        return (y - self.b) @ self.G_inv.T
+
+
+def _affine_map(layer: Layer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(G, b, G^{-1})`` of an affine layer, from the matrices it caches."""
+    if isinstance(layer, AffineDense):
+        return layer.G, layer.b, layer._G_inv
+    if isinstance(layer, Triangular):
+        return layer.scm.matrix, layer.scm.b, layer.scm.inverse_matrix
+    P = np.eye(layer.dim)[layer._idx]
+    return P, np.zeros(layer.dim), P.T
+
+
+@dataclass(frozen=True)
 class LayerChain:
     """Ordered invertible layers; the empty chain is the identity.
 
     An exact likelihood needs one reverse pass: ``inverse_and_log_det``.
+    ``forward``, ``inverse`` and ``inverse_and_log_det`` walk the cached
+    stages (see the module docstring), not the layers.
     """
 
     dim: int
@@ -224,31 +284,46 @@ class LayerChain:
                 )
         object.__setattr__(self, "layers", layers)
 
+    @cached_property
+    def stages(self) -> tuple[Union[_AffineStage, LeakyRelu], ...]:
+        """Each leaky ReLU, and each maximal run of affine layers fused, in order."""
+        stages = []
+        for leaky, run in groupby(self.layers, key=lambda layer: isinstance(layer, LeakyRelu)):
+            if leaky:
+                stages.extend(run)
+            else:
+                stages.append(_AffineStage.fuse(tuple(run)))
+        return tuple(stages)
+
     def forward(self, x):
         v = _check_vector(x, self.dim)
-        for layer in self.layers:
-            v = layer.forward(v)
+        for stage in self.stages:
+            v = stage.forward(v)
         return v
 
     def inverse(self, y):
         v = _check_vector(y, self.dim)
-        for layer in reversed(self.layers):
-            v = layer.inverse(v)
+        for stage in reversed(self.stages):
+            v = stage.inverse(v)
         return v
 
     def inverse_and_log_det(self, y):
         """``x = g^{-1}(y)`` and log |det J| of the forward map at ``x``, in one pass.
 
-        Walks the layers once in reverse; each layer's log-det is taken at its
-        forward input, the value the inverse pass has just produced.  The
-        per-layer terms are summed in forward order.  Returns ``(x, scalar)``
-        for a single input and ``(x, (n,) array)`` for a batch.
+        Walks the stages once in reverse; each leaky ReLU's log-det is taken
+        at its forward input, the value the inverse pass has just produced,
+        and affine layers contribute their constants.  The per-layer terms are
+        summed in forward order.  Returns ``(x, scalar)`` for a single input
+        and ``(x, (n,) array)`` for a batch.
         """
         v = _check_vector(y, self.dim)
         terms = []
-        for layer in reversed(self.layers):
-            v = layer.inverse(v)
-            terms.append(layer.log_abs_det(v))
+        for stage in reversed(self.stages):
+            v = stage.inverse(v)
+            if isinstance(stage, _AffineStage):
+                terms.extend(reversed(stage.log_dets))
+            else:
+                terms.append(stage.log_abs_det(v))
         total = 0.0 if v.ndim == 1 else np.zeros(v.shape[0])
         for term in reversed(terms):
             total = total + term

@@ -281,7 +281,7 @@ def _loss_and_grad(
     if sign == 0.0:
         raise FloatingPointError("inverse mixing matrix became singular")
     U = X @ p.W.T + p.c
-    Z = np.where(U >= 0.0, U, U / s)
+    Z = LeakyRelu(s).inverse(U)
     n_neg = np.count_nonzero(U < 0.0, axis=1)
 
     grads = p.zeros_like()
@@ -341,7 +341,7 @@ def _profile_fit(
     m, nd, ns = trainable.dim, trainable.num_domains, trainable.shared_rows
     n = X.shape[0]
     U = X @ p.W.T + p.c
-    Z1 = np.hstack([np.ones((n, 1)), np.where(U >= 0.0, U, U / LEAKY_SLOPE)])
+    Z1 = np.hstack([np.ones((n, 1)), LeakyRelu(LEAKY_SLOPE).inverse(U)])
     groups = [Z1[labels == d0 + 1] for d0 in range(nd)]
     counts = np.array([len(g) for g in groups])
     moments = np.stack([g.T @ g / max(len(g), 1) for g in groups])
@@ -507,10 +507,19 @@ def nll_loss(trainable: TrainableILD, batch) -> float:
 
 
 def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
-    """Exact gradient of ``nll_loss`` with respect to every free parameter."""
+    """Exact gradient of ``nll_loss`` with respect to every free parameter.
+
+    Like ``nll_loss``, raises ``IndexError`` on a label outside
+    ``[1, num_domains]``.
+    """
     X, labels = as_sample_arrays(batch)
     if len(X) == 0:
         raise ValueError("batch must be non-empty")
+    bad = labels[(labels < 1) | (labels > trainable.num_domains)]
+    if bad.size:
+        raise IndexError(
+            f"domain index {bad[0]} out of range [1, {trainable.num_domains}]"
+        )
     _, grads = _loss_and_grad(trainable, X, labels)
     return grads
 

@@ -209,6 +209,24 @@ class TestSolveFreeCounterfactual:
         for d, d_prime in ((0, 1), (1, 0), (3, 1), (1, 3), (-1, 2)):
             with pytest.raises(IndexError):
                 model.counterfactual(x, d, d_prime)
+        for d in (0, 3, -1):
+            with pytest.raises(IndexError):
+                model.counterfactuals(x, d)
+
+
+class TestCounterfactuals:
+    def test_each_slice_is_the_single_target_counterfactual(self, rng):
+        m, nd = 4, 3
+        for g in (random_model(rng, m, nd).g, mixed_chain(rng, m)):
+            model = ILDModel(g, tuple(random_scm(rng, m) for _ in range(nd)))
+            x, _ = probe_points(model, 60, seed=int(rng.integers(1 << 30)))
+            for d in range(1, nd + 1):
+                batch = model.counterfactuals(x, d)
+                row = model.counterfactuals(x[0], d)
+                assert batch.shape == (nd, len(x), m) and row.shape == (nd, m)
+                for t in range(1, nd + 1):
+                    np.testing.assert_array_equal(batch[t - 1], model.counterfactual(x, d, t))
+                    np.testing.assert_array_equal(row[t - 1], model.counterfactual(x[0], d, t))
 
 
 class TestDcDistance:

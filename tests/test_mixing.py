@@ -243,6 +243,105 @@ class TestValidation:
             LayerChain(3, (random_dense_layer(rng, 4),))
 
 
+class TestLeakyRelu:
+    SPECIAL = [0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("slope", [0.5, 2.0, 0.3, 1.0, 1.7])
+    def test_matches_two_branch_form_bitwise(self, slope):
+        x = np.concatenate([self.SPECIAL, np.random.default_rng(3).standard_normal(199)])
+        layer = LeakyRelu(slope)
+        with np.errstate(over="ignore"):
+            want_fwd = np.where(x >= 0.0, x, slope * x)
+            want_inv = np.where(x >= 0.0, x, x / slope)
+            for shape in (x.shape, (len(x) // 3, 3)):
+                got = (layer.forward(x.reshape(shape)), layer.inverse(x.reshape(shape)))
+                assert got[0].tobytes() == want_fwd.tobytes()
+                assert got[1].tobytes() == want_inv.tobytes()
+            for i, v in enumerate(x):
+                got = (layer.forward(v), layer.inverse(v))
+                assert np.ndim(got[0]) == 0 and np.ndim(got[1]) == 0
+                assert got[0].tobytes() == want_fwd[i].tobytes()
+                assert got[1].tobytes() == want_inv[i].tobytes()
+
+
+def layerwise_inverse_and_log_det(chain: LayerChain, y):
+    """Per-layer reference: invert layer by layer, log-dets summed in forward order."""
+    v = np.asarray(y, dtype=float)
+    terms = []
+    for layer in reversed(chain.layers):
+        v = layer.inverse(v)
+        terms.append(layer.log_abs_det(v))
+    total = 0.0 if v.ndim == 1 else np.zeros(v.shape[0])
+    for term in reversed(terms):
+        total = total + term
+    return v, total
+
+
+def layerwise_forward(chain: LayerChain, x):
+    v = np.asarray(x, dtype=float)
+    for layer in chain.layers:
+        v = layer.forward(v)
+    return v
+
+
+LAYER_KINDS = ("permute", "triangular", "dense", "leaky_half", "leaky_two")
+
+
+def build_layer(kind: str, gen: np.random.Generator, m: int):
+    if kind == "permute":
+        return Permute(tuple(gen.permutation(m) + 1))
+    if kind == "triangular":
+        return Triangular(random_scm(gen, m))
+    if kind == "dense":
+        return random_dense_layer(gen, m)
+    return LeakyRelu(0.5 if kind == "leaky_half" else 2.0)
+
+
+class TestStages:
+    def test_leaky_then_dense_run_gives_two_stages(self, rng):
+        leaky = LeakyRelu(0.5)
+        chain = LayerChain(3, (leaky, random_dense_layer(rng, 3), random_dense_layer(rng, 3)))
+        assert len(chain.stages) == 2
+        assert chain.stages[0] is leaky
+
+    def test_all_affine_chain_gives_one_stage(self, rng):
+        layers = (Permute((2, 3, 1)), Triangular(random_scm(rng, 3)), random_dense_layer(rng, 3))
+        chain = LayerChain(3, layers)
+        assert len(chain.stages) == 1
+        x = rng.standard_normal((5, 3))
+        np.testing.assert_allclose(chain.forward(x), layerwise_forward(chain, x), rtol=1e-12)
+
+    def test_empty_chain_has_no_stages(self):
+        assert LayerChain(2).stages == ()
+
+    def test_stages_are_cached(self, rng):
+        chain = random_chain(rng, 3)
+        assert chain.stages is chain.stages
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.sampled_from(LAYER_KINDS), min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stages_match_layerwise_reference(m, kinds, seed):
+    gen = np.random.default_rng(seed)
+    chain = LayerChain(m, tuple(build_layer(kind, gen, m) for kind in kinds))
+    x = gen.standard_normal((20, m))
+    y = layerwise_forward(chain, x)
+    assert relative_error(chain.forward(x), y) <= 1e-12
+    assert relative_error(chain.inverse(y), x) <= 1e-12
+    z, log_det = chain.inverse_and_log_det(y)
+    z_ref, log_det_ref = layerwise_inverse_and_log_det(chain, y)
+    assert relative_error(z, z_ref) <= 1e-12
+    np.testing.assert_allclose(log_det, log_det_ref, rtol=1e-12, atol=1e-12)
+    for row in (0, 1):
+        z1, log_det1 = chain.inverse_and_log_det(y[row])
+        np.testing.assert_allclose(z1, z_ref[row], rtol=1e-12, atol=1e-12)
+        assert log_det1 == pytest.approx(log_det_ref[row], rel=1e-12, abs=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_chain_round_trip_property(m, seed):

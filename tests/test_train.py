@@ -93,6 +93,13 @@ class TestNllLoss:
         with pytest.raises(ValueError):
             nll_loss(t, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
+    @pytest.mark.parametrize("fn", [nll_loss, nll_gradient])
+    def test_out_of_range_label_rejected(self, fn):
+        t = TrainableILD.initialize(2, 2, "dense", seed=0)
+        X = np.random.default_rng(9).standard_normal((6, 2))
+        with pytest.raises(IndexError):
+            fn(t, (X, np.array([1, 2, 1, 2, 3, 0])))
+
 
 class TestNllGradient:
     def test_output_bias_gradient_closed_form(self):
