@@ -57,7 +57,6 @@ from .mixing import (
     LeakyRelu,
     Permute,
     Triangular,
-    spectral_norm,
 )
 from .scm import (
     DEFAULT_INTERVENTION_TOL,
@@ -123,7 +122,6 @@ __all__ = [
     "oracle_counterfactual_error",
     "run_experiment",
     "sample_dataset",
-    "spectral_norm",
     "swap_indices",
     "train",
 ]

@@ -189,8 +189,6 @@ def _sample_split(gt: ILDModel, spec: GroundTruthSpec, name: str, count: int) ->
         ss = np.random.SeedSequence([spec.seed, _SPLIT_TAGS[name], d])
         xs.append(gt.sample(d, count, ss))
         ds.append(np.full(count, d, dtype=int))
-    if not xs:
-        return Split(np.zeros((0, spec.dim)), np.zeros(0, dtype=int))
     return Split(np.concatenate(xs, axis=0), np.concatenate(ds))
 
 

@@ -29,30 +29,6 @@ from .scm import AffineSCM, DimensionMismatch, _check_vector, _frozen_array
 _MIN_ABS_DET = 1e-12
 
 
-def spectral_norm(A: np.ndarray, iterations: int = 200, tol: float = 1e-10) -> float:
-    """Largest singular value by power iteration on ``A^T A``.
-
-    Starts from the normalized all-ones vector so repeated calls are
-    bit-reproducible.  Convergence assumes the start vector is not orthogonal
-    to the dominant singular subspace, which holds for generic matrices.
-    """
-    A = np.asarray(A, dtype=float)
-    m = A.shape[1]
-    v = np.ones(m) / math.sqrt(m)
-    sigma = 0.0
-    for _ in range(iterations):
-        w = A.T @ (A @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_sigma = float(np.linalg.norm(A @ v))
-        if abs(new_sigma - sigma) <= tol:
-            return new_sigma
-        sigma = new_sigma
-    return sigma
-
-
 @dataclass(frozen=True)
 class AffineDense:
     """Invertible dense affine layer ``y = G x + b``.
@@ -100,7 +76,7 @@ class AffineDense:
         return self._logabsdet
 
     def lipschitz_bound(self) -> float:
-        return spectral_norm(self.G)
+        return float(np.linalg.norm(self.G, 2))
 
     def invert(self) -> AffineDense:
         return AffineDense(self._G_inv, -self._G_inv @ self.b)
@@ -203,7 +179,7 @@ class Triangular:
         return self.scm.dim
 
     def forward(self, x):
-        return x @ self.scm.matrix.T + self.scm.b
+        return self.scm.forward(x)
 
     def inverse(self, y):
         return self.scm.inverse(y)
@@ -213,7 +189,7 @@ class Triangular:
         return self.scm.log_abs_det()
 
     def lipschitz_bound(self) -> float:
-        return spectral_norm(self.scm.matrix)
+        return float(np.linalg.norm(self.scm.matrix, 2))
 
     def invert(self) -> Triangular:
         return Triangular(self.scm.invert())

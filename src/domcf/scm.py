@@ -100,7 +100,7 @@ class AffineSCM:
 
     @classmethod
     def from_matrix(cls, A, b) -> AffineSCM:
-        """Factor a lower-triangular matrix ``A`` into ``(L, S)`` with ``F = A``.
+        """Check and factor a lower-triangular matrix ``A`` into ``(L, S)`` with ``F = A``.
 
         Raises NotLowerTriangular if any upper entry of ``A`` exceeds 1e-12 in
         magnitude, NonPositiveDiagonal if any diagonal entry is <= 0.
@@ -150,25 +150,15 @@ class AffineSCM:
         return _frozen_array((np.eye(self.dim) - self.L) / self.S[:, None])
 
     def forward(self, eps) -> np.ndarray:
-        """Evaluate ``z = F eps + b`` by forward substitution on ``(I - L)``.
+        """Evaluate ``z = F eps + b`` with the cached ``F``.
 
         Accepts a single vector ``(m,)`` or a batch ``(n, m)``.
         """
-        eps = _check_vector(eps, self.dim)
-        m = self.dim
-        M = np.eye(m) - self.L
-        rhs = (eps * self.S).T if eps.ndim == 2 else eps * self.S
-        sol = solve_triangular(
-            M, rhs, lower=True, unit_diagonal=True, check_finite=False
-        )
-        z = sol.T if eps.ndim == 2 else sol
-        return z + self.b
+        return _check_vector(eps, self.dim) @ self.matrix.T + self.b
 
     def inverse(self, z) -> np.ndarray:
-        """Evaluate ``eps = diag(S)^{-1} (I - L)(z - b)`` exactly."""
-        z = _check_vector(z, self.dim)
-        M = np.eye(self.dim) - self.L
-        return ((z - self.b) @ M.T) / self.S
+        """Evaluate ``eps = F^{-1}(z - b)`` with the cached ``F^{-1}``."""
+        return (_check_vector(z, self.dim) - self.b) @ self.inverse_matrix.T
 
     def log_abs_det(self) -> float:
         """log |det F| = sum(log S); the unit-triangular factor contributes 0."""
@@ -189,13 +179,15 @@ class AffineSCM:
 
 
 def compose(outer: AffineSCM, inner: AffineSCM) -> AffineSCM:
-    """The mechanism ``outer(inner(eps))``: ``F = F_out F_in``, ``b = F_out b_in + b_out``."""
+    """The mechanism ``outer(inner(eps))``: ``F = F_out F_in``, ``b = F_out b_in + b_out``.
+
+    Built solve-free from the cached inverses: ``F^{-1} = F_in^{-1} F_out^{-1}``.
+    """
     if outer.dim != inner.dim:
         raise DimensionMismatch(f"dims differ: {outer.dim} vs {inner.dim}")
-    F_out = outer.matrix
-    F = F_out @ inner.matrix
-    b = F_out @ inner.b + outer.b
-    return AffineSCM.from_matrix(F, b)
+    return AffineSCM.from_inverse(
+        inner.inverse_matrix @ outer.inverse_matrix, outer.matrix @ inner.b + outer.b
+    )
 
 
 @dataclass(frozen=True)

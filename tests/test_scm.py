@@ -109,6 +109,16 @@ class TestCompose:
         )
         np.testing.assert_allclose(restored.matrix, expected, atol=1e-12)
 
+    def test_matches_nested_evaluation(self, rng):
+        for _ in range(10):
+            outer, inner = random_scm(rng, 5), random_scm(rng, 5)
+            eps = rng.standard_normal((20, 5))
+            np.testing.assert_allclose(
+                compose(outer, inner).forward(eps),
+                outer.forward(inner.forward(eps)),
+                rtol=0.0, atol=1e-12,
+            )
+
     def test_associative(self, rng):
         for _ in range(10):
             a, b, c = (random_scm(rng, 5) for _ in range(3))
