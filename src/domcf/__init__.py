@@ -29,8 +29,6 @@ from .canonical import (
     PreconditionViolated,
     TriangularityBroken,
     canonicalize,
-    is_canonical,
-    swap_indices,
 )
 from .datagen import (
     GroundTruthSpec,
@@ -69,8 +67,6 @@ from .scm import (
     intervention_set,
 )
 from .train import (
-    Adam,
-    ParamSet,
     TrainConfig,
     TrainableILD,
     dataset_nll,
@@ -82,7 +78,6 @@ from .train import (
 __all__ = [
     "AffineDense",
     "AffineSCM",
-    "Adam",
     "CanonicalizationReport",
     "DEFAULT_INTERVENTION_TOL",
     "DimensionMismatch",
@@ -96,7 +91,6 @@ __all__ = [
     "MultiDomainDataset",
     "NonPositiveDiagonal",
     "NotLowerTriangular",
-    "ParamSet",
     "Permute",
     "PreconditionViolated",
     "Split",
@@ -116,12 +110,10 @@ __all__ = [
     "generate_ground_truth",
     "ground_truth_bound_term",
     "intervention_set",
-    "is_canonical",
     "nll_gradient",
     "nll_loss",
     "oracle_counterfactual_error",
     "run_experiment",
     "sample_dataset",
-    "swap_indices",
     "train",
 ]

@@ -226,9 +226,9 @@ def oracle_counterfactual_error(estimated: ILDModel, gt: ILDModel, test) -> floa
         mask = labels == d
         if not np.any(mask):
             raise ValueError(f"test set has no samples for domain {d}")
-        diff = estimated.counterfactuals(X[mask], d)
-        diff -= gt.counterfactuals(X[mask], d)
-        for d_prime in range(1, nd + 1):
-            if d_prime != d:
-                total += float(np.mean(np.sum(diff[d_prime - 1] ** 2, axis=1)))
+        others = tuple(t for t in range(1, nd + 1) if t != d)
+        diff = estimated.counterfactuals(X[mask], d, others)
+        diff -= gt.counterfactuals(X[mask], d, others)
+        for cf in diff:
+            total += float(np.mean(np.sum(cf**2, axis=1)))
     return 2.0 / (nd * (nd - 1)) * total

@@ -103,15 +103,17 @@ class ILDModel:
         A, c = self._latent_map(d, d_prime)
         return self.g.forward(self.g.inverse(x) @ A.T + c)
 
-    def counterfactuals(self, x, d: int) -> np.ndarray:
-        """Counterfactuals of ``x`` from ``d`` into every domain, from one abduction.
+    def counterfactuals(self, x, d: int, targets: tuple[int, ...] | None = None) -> np.ndarray:
+        """Counterfactuals of ``x`` from ``d`` into each target, from one abduction.
 
-        ``g^{-1}(x)`` is computed once; slice ``t - 1`` of the result is
-        exactly ``counterfactual(x, d, t)``, shape ``(num_domains,) + x.shape``.
+        ``targets`` holds 1-based domains (default: every domain, in order).
+        ``g^{-1}(x)`` is computed once; slice ``i`` of the result is exactly
+        ``counterfactual(x, d, targets[i])``, shape ``(len(targets),) + x.shape``.
         """
-        maps = [self._latent_map(d, t) for t in range(1, self.num_domains + 1)]
+        targets = range(1, self.num_domains + 1) if targets is None else targets
+        maps = [self._latent_map(d, t) for t in targets]
         z = self.g.inverse(x)
-        out = np.empty((self.num_domains,) + z.shape)
+        out = np.empty((len(maps),) + z.shape)
         for cf, (A, c) in zip(out, maps):
             cf[...] = self.g.forward(z @ A.T + c)
         return out

@@ -18,7 +18,9 @@ even when the fitted mixing is badly conditioned.
 
 Every trainable parameter lives in one contiguous float64 buffer
 (``ParamSet``) with read-only named views; the gradient has the same layout,
-and Adam updates the whole buffer with a few vector operations.
+and Adam updates the whole buffer with a few vector operations.  A batch's
+loss and gradient come from one stacked pass over all domains, and a fit
+writes every step's gradient into one reused buffer.
 
 ``nll_gradient`` is the exact reverse-mode gradient of the batch negative
 log-likelihood (the leaky-ReLU derivative at exactly 0 uses the slope-1
@@ -99,7 +101,7 @@ class ParamSet:
     ``W`` and ``c`` parameterize the observation layer in the inverse
     direction (``u = W x + c``).  Entries of ``shared_L`` and ``dom_L`` on or
     above the diagonal of the full ``L`` are structural zeros: training keeps
-    them at 0 and ``TrainableILD.domain_arrays`` masks them out.
+    them at 0 and ``TrainableILD.mechanism_arrays`` masks them out.
     """
 
     def __init__(
@@ -205,29 +207,23 @@ class TrainableILD:
         """Strictly-lower-triangular 0/1 mask of the full ``L``, built once per model."""
         return np.tril(np.ones((self.dim, self.dim)), k=-1)
 
-    def domain_arrays(self, d0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full (L, logS, b) arrays for 0-based domain ``d0``."""
+    def mechanism_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every domain's full ``(L, logS, b)``, stacked along a leading domain axis."""
         p, ns = self.params, self.shared_rows
-        L = np.zeros((self.dim, self.dim))
-        L[:ns] = p.shared_L
-        L[ns:] = p.dom_L[d0]
+        L = np.empty((self.num_domains, self.dim, self.dim))
+        logS, b = np.empty((2, self.num_domains, self.dim))
+        L[:, :ns], logS[:, :ns], b[:, :ns] = p.shared_L, p.shared_logS, p.shared_b
+        L[:, ns:], logS[:, ns:], b[:, ns:] = p.dom_L, p.dom_logS, p.dom_b
         L *= self._strict
-        logS = np.concatenate([p.shared_logS, p.dom_logS[d0]])
-        b = np.concatenate([p.shared_b, p.dom_b[d0]])
         return L, logS, b
 
     def materialize(self) -> ILDModel:
         """The current parameters as an immutable model."""
-        scms = []
-        for d0 in range(self.num_domains):
-            L, logS, b = self.domain_arrays(d0)
-            scms.append(AffineSCM(L, np.exp(logS), b))
+        L, logS, b = self.mechanism_arrays()
+        scms = tuple(map(AffineSCM, L, np.exp(logS), b))
         G = np.linalg.inv(self.params.W)
-        mix = LayerChain(
-            self.dim,
-            (LeakyRelu(LEAKY_SLOPE), AffineDense(G, -G @ self.params.c)),
-        )
-        return ILDModel(mix, tuple(scms))
+        mix = (LeakyRelu(LEAKY_SLOPE), AffineDense(G, -G @ self.params.c))
+        return ILDModel(LayerChain(self.dim, mix), scms)
 
     def free_vector(self) -> np.ndarray:
         """A copy of the parameter buffer."""
@@ -248,11 +244,14 @@ def _kink_crossing_term(U: np.ndarray) -> np.ndarray:
     through the data: ``d/dc_j E[log s * 1{u_j < 0}] = -log s * p_j(0)``, with
     ``p_j`` the density of ``u_j``.  The column means of the returned array are
     Gaussian-kernel estimates of ``-log s * p_j(0)`` (Silverman bandwidth
-    ``1.06 sd n^(-1/5)`` on the batch); chained through ``u = W x + c`` the
-    same array gives the matching ``W`` term.
+    ``1.06 sd n^(-1/5)`` on the batch, ``sd`` from column sums taken as products with
+    a ones vector); chained through ``u = W x + c`` it gives the ``W`` term.
     """
     n = U.shape[0]
-    h = 1.06 * np.maximum(U.std(axis=0), 1e-12) * n ** -0.2
+    ones = np.ones(n)
+    centered = U - (ones @ U) / n
+    sd = np.sqrt((ones @ (centered * centered)) / n)
+    h = 1.06 * np.maximum(sd, 1e-12) * n ** -0.2
     return (-math.log(LEAKY_SLOPE) / (h * math.sqrt(2.0 * math.pi))) * np.exp(
         -0.5 * (U / h) ** 2
     )
@@ -263,6 +262,7 @@ def _loss_and_grad(
     X: np.ndarray,
     labels: np.ndarray,
     kink_term: bool = False,
+    out: ParamSet | None = None,
 ) -> tuple[float, ParamSet]:
     """Mean negative log-likelihood of the batch and its gradient.
 
@@ -271,56 +271,62 @@ def _loss_and_grad(
     Without ``kink_term`` the gradient is the exact gradient of the batch
     loss; with it, ``_kink_crossing_term`` is added, which makes the result
     an estimate of the gradient of the expected NLL (the training update).
+    One stacked pass serves every domain: a float one-hot mask of the labels
+    keeps each row's own domain (a label outside ``[1, nd]`` keeps none), and
+    column sums are products with a ones vector.  Every entry of ``out`` (a
+    fresh buffer when ``None``) is overwritten, so one buffer serves all steps.
     """
     p = trainable.params
     m, nd, ns = trainable.dim, trainable.num_domains, trainable.shared_rows
-    n = X.shape[0]
-    s = LEAKY_SLOPE
+    n, s = X.shape[0], LEAKY_SLOPE
+    grads = p.zeros_like() if out is None else out
 
     sign, logabsdet_W = np.linalg.slogdet(p.W)
     if sign == 0.0:
         raise FloatingPointError("inverse mixing matrix became singular")
     U = X @ p.W.T + p.c
     Z = LeakyRelu(s).inverse(U)
-    n_neg = np.count_nonzero(U < 0.0, axis=1)
+    neg = U < 0.0
+    ones = np.ones(n)
+    onehot = (labels[:, None] == np.arange(1, nd + 1)).astype(float)
+    counts = ones @ onehot
 
-    grads = p.zeros_like()
-    dU_total = np.zeros_like(U)
-    loss_sum = float(n) * (0.5 * m * LOG_TWO_PI - logabsdet_W) + float(
-        n_neg.sum()
-    ) * math.log(s)
+    L, logS, b = trainable.mechanism_arrays()
+    M = np.eye(m) - L
+    M2 = M.reshape(nd * m, m)
+    inv_S = np.exp(-logS)
+    # Column block d of Eps holds eps = M_d (z - b_d) / S_d; the one-hot
+    # product puts 1 / S_d in each row's own block and 0 in the others.
+    scale = onehot @ (np.eye(nd)[:, :, None] * inv_S[:, None, :]).reshape(nd, nd * m)
+    Eps = (Z @ M2.T - (M @ b[:, :, None]).ravel()) * scale
+    Wgt = Eps * scale
+    sq_sums = (ones @ (Eps * Eps)).reshape(nd, m)
+    wgt_sums = (ones @ Wgt).reshape(nd, m)
+    loss_sum = n * (0.5 * m * LOG_TWO_PI - logabsdet_W) + np.count_nonzero(neg) * math.log(s)
+    loss_sum += 0.5 * sq_sums.sum() + counts @ logS.sum(axis=1)
 
-    for d0 in range(nd):
-        mask = labels == d0 + 1
-        if not np.any(mask):
-            continue
-        L, logS, b = trainable.domain_arrays(d0)
-        S = np.exp(logS)
-        M = np.eye(m) - L
-        Y = Z[mask] - b
-        Eps = (Y @ M.T) / S
-        loss_sum += 0.5 * float(np.sum(Eps**2)) + mask.sum() * float(np.sum(logS))
+    # Per-domain gradients in columns [L row | logS | b]; shared rows sum them.
+    g = np.empty((nd, m, m + 2))
+    g[:, :, :m] = (Wgt.T @ Z).reshape(nd, m, m) - wgt_sums[:, :, None] * b[:, None, :]
+    g[:, :, :m] *= -trainable._strict
+    g[:, :, m] = counts[:, None] - sq_sums
+    g[:, :, m + 1] = -(wgt_sums[:, None, :] @ M)[:, 0]
+    shared = (np.ones(nd) @ g[:, :ns].reshape(nd, ns * (m + 2))).reshape(ns, m + 2)
+    grads.shared_L[...], grads.shared_logS[...], grads.shared_b[...] = (
+        shared[:, :m], shared[:, m], shared[:, m + 1]
+    )
+    grads.dom_L[...], grads.dom_logS[...], grads.dom_b[...] = (
+        g[:, ns:, :m], g[:, ns:, m], g[:, ns:, m + 1]
+    )
 
-        Wgt = Eps / S
-        g_logS = np.sum(1.0 - Eps**2, axis=0)
-        g_L = -(Wgt.T @ Y) * trainable._strict
-        g_b = -(M.T @ Wgt.sum(axis=0))
-        dU_total[mask] = (Wgt @ M) * np.where(U[mask] >= 0.0, 1.0, 1.0 / s)
-
-        grads.shared_L[...] += g_L[:ns]
-        grads.shared_logS[...] += g_logS[:ns]
-        grads.shared_b[...] += g_b[:ns]
-        grads.dom_L[d0] = g_L[ns:]
-        grads.dom_logS[d0] = g_logS[ns:]
-        grads.dom_b[d0] = g_b[ns:]
-
+    dU = Wgt @ M2
+    dU *= np.where(neg, 1.0 / s, 1.0)
     if kink_term:
-        dU_total += _kink_crossing_term(U)
-    grads.W[...] = dU_total.T @ X - float(n) * np.linalg.inv(p.W).T
-    grads.c[...] = dU_total.sum(axis=0)
-    g = grads.vec
-    g /= n
-    return loss_sum / n, grads
+        dU += _kink_crossing_term(U)
+    grads.W[...] = dU.T @ X - n * np.linalg.inv(p.W).T
+    grads.c[...] = ones @ dU
+    grads.vec[...] /= n
+    return float(loss_sum) / n, grads
 
 
 def _profile_fit(
@@ -520,8 +526,7 @@ def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
         raise IndexError(
             f"domain index {bad[0]} out of range [1, {trainable.num_domains}]"
         )
-    _, grads = _loss_and_grad(trainable, X, labels)
-    return grads
+    return _loss_and_grad(trainable, X, labels)[1]
 
 
 def dataset_nll(model: ILDModel, X, labels) -> float:
@@ -626,10 +631,11 @@ def train(
             best_params = work.params.copy()
 
     search = None
+    grads = work.params.zeros_like()
     record(0)
     for it in range(1, config.iterations + 1):
         idx = rng.integers(0, len(Xtr), size=config.batch_size)
-        _, grads = _loss_and_grad(work, Xtr[idx], dtr[idx], kink_term=True)
+        _loss_and_grad(work, Xtr[idx], dtr[idx], kink_term=True, out=grads)
         decay = (config.iterations - it) / max(config.iterations - 1, 1)
         optimizer.step(work.params, grads, lr_scale=_INITIAL_LR_FACTOR**decay)
         if it % _SEARCH_EVERY == 0 and it < config.iterations:

@@ -14,9 +14,8 @@ from domcf import (
     check_distribution_equiv,
     compose,
     intervention_set,
-    is_canonical,
-    swap_indices,
 )
+from domcf.canonical import is_canonical, swap_indices
 from conftest import family_with_intervention, probe_points, random_scm
 
 

@@ -242,7 +242,7 @@ class TestCanonicalize:
         assert report["original_intervention"]["indices"] == [2, 3]
         assert report["final_intervention"]["indices"] == [3, 4]
 
-        from domcf import is_canonical
+        from domcf.canonical import is_canonical
 
         canonical = serialize.model_from_dict(
             json.loads((out / "canonical.json").read_text())

@@ -228,6 +228,21 @@ class TestCounterfactuals:
                     np.testing.assert_array_equal(batch[t - 1], model.counterfactual(x, d, t))
                     np.testing.assert_array_equal(row[t - 1], model.counterfactual(x[0], d, t))
 
+    def test_targets_select_slices_of_the_full_call(self, rng):
+        m, nd = 3, 4
+        model = random_model(rng, m, nd)
+        x, _ = probe_points(model, 40, seed=int(rng.integers(1 << 30)))
+        for d in range(1, nd + 1):
+            full = model.counterfactuals(x, d)
+            others = tuple(t for t in range(1, nd + 1) if t != d)
+            for targets in (others, (d,), (nd, 1), ()):
+                picked = model.counterfactuals(x, d, targets)
+                assert picked.shape == (len(targets), len(x), m)
+                for cf, t in zip(picked, targets):
+                    np.testing.assert_array_equal(cf, full[t - 1])
+            with pytest.raises(IndexError):
+                model.counterfactuals(x, d, (nd + 1,))
+
 
 class TestDcDistance:
     def test_reflexive(self, rng):

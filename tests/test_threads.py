@@ -50,3 +50,31 @@ def test_other_openblas_variables_win(var):
     two_threads = run_probe(OPENBLAS_NUM_THREADS="2")[1]
     assert int(two_threads) > 1
     assert run_probe(**{var: "2"}) == ["-", two_threads]
+
+
+# A short can2 fit on trend-shaped data (one kink-search check at 500); prints
+# its history with every float's repr.
+FIT = (
+    "import domcf; "
+    "from domcf import GroundTruthSpec, TrainConfig, TrainableILD, generate_ground_truth, "
+    "sample_dataset, train; "
+    "spec = GroundTruthSpec(dim=6, num_domains=3, intervention=(5, 6), n_train=5000, "
+    "n_val=500, n_test=100, seed=3); "
+    "ds = sample_dataset(generate_ground_truth(spec), spec); "
+    "t = TrainableILD.initialize(6, 3, 'can', 2, seed=3); "
+    "print(train(t, ds, TrainConfig(iterations=600, eval_every=100, seed=3))[1])"
+)
+
+
+def test_fit_is_identical_at_one_and_two_blas_threads():
+    histories = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", FIT], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        )
+        histories.append(done.stdout)
+    assert histories[0] == histories[1]
+    assert histories[0].count("(") == 600 // 100 + 1

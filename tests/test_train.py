@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from domcf import (
-    Adam,
     AffineSCM,
     GroundTruthSpec,
     ILDModel,
@@ -20,7 +19,7 @@ from domcf import (
     sample_dataset,
     train,
 )
-from domcf.train import _KinkSearch, _loss_and_grad, _profile_fit, dataset_nll
+from domcf.train import Adam, _KinkSearch, _loss_and_grad, _profile_fit, dataset_nll
 
 
 def perturbed(trainable: TrainableILD, seed: int, scale: float = 0.3) -> TrainableILD:
@@ -74,7 +73,7 @@ class TestNllLoss:
         G, b_g = out.G, out.b
         total = 0.0
         for x, d in zip(X, labels):
-            L, logS, b = t.domain_arrays(d - 1)
+            L, logS, b = (a[d - 1] for a in t.mechanism_arrays())
             u = np.linalg.solve(G, x - b_g)
             z = np.where(u >= 0, u, u / 0.5)
             eps = (np.eye(3) - L) @ (z - b) / np.exp(logS)
@@ -170,6 +169,88 @@ class TestNllGradient:
         np.testing.assert_allclose(
             g_can.dom_L, g_dense.dom_L[:, ns:], atol=1e-12
         )
+
+
+def per_domain_loss_and_grad(trainable: TrainableILD, X, labels, kink_term=False):
+    """Mean batch NLL and its gradient, one domain at a time.
+
+    An independent reference for the stacked kernel: each domain's rows are
+    selected with a boolean mask and pushed through that domain's own
+    ``I - L``; a domain absent from the batch contributes nothing.
+    """
+    p, m, ns = trainable.params, trainable.dim, trainable.shared_rows
+    n, s = len(X), 0.5
+    U = X @ p.W.T + p.c
+    Z = np.where(U >= 0.0, U, U / s)
+    grads = p.zeros_like()
+    dU = np.zeros_like(U)
+    loss = n * (0.5 * m * math.log(2 * math.pi) - np.linalg.slogdet(p.W)[1])
+    loss += np.count_nonzero(U < 0.0) * math.log(s)
+    stacked = trainable.mechanism_arrays()
+    for d0 in range(trainable.num_domains):
+        mask = labels == d0 + 1
+        if not np.any(mask):
+            continue
+        L, logS, b = (a[d0] for a in stacked)
+        S, M, Y = np.exp(logS), np.eye(m) - L, Z[mask] - b
+        Eps = (Y @ M.T) / S
+        loss += 0.5 * np.sum(Eps**2) + mask.sum() * np.sum(logS)
+        Wgt = Eps / S
+        g_L = -(Wgt.T @ Y) * np.tril(np.ones((m, m)), k=-1)
+        g_logS = np.sum(1.0 - Eps**2, axis=0)
+        g_b = -(M.T @ Wgt.sum(axis=0))
+        dU[mask] = (Wgt @ M) * np.where(U[mask] >= 0.0, 1.0, 1.0 / s)
+        grads.shared_L[...] += g_L[:ns]
+        grads.shared_logS[...] += g_logS[:ns]
+        grads.shared_b[...] += g_b[:ns]
+        grads.dom_L[d0], grads.dom_logS[d0], grads.dom_b[d0] = g_L[ns:], g_logS[ns:], g_b[ns:]
+    if kink_term:
+        h = 1.06 * np.maximum(U.std(axis=0), 1e-12) * n ** -0.2
+        dU += -math.log(s) / (h * math.sqrt(2 * math.pi)) * np.exp(-0.5 * (U / h) ** 2)
+    grads.W[...] = dU.T @ X - n * np.linalg.inv(p.W).T
+    grads.c[...] = dU.sum(axis=0)
+    return loss / n, grads.vec / n
+
+
+class TestStackedKernel:
+    """``_loss_and_grad`` against the per-domain reference above."""
+
+    @pytest.mark.parametrize("kind,k", [("can", 0), ("can", 2), ("dense", None)])
+    @pytest.mark.parametrize("kink_term", [False, True])
+    @pytest.mark.parametrize("missing", [None, 2])
+    def test_matches_per_domain_loop(self, kind, k, kink_term, missing):
+        t = perturbed(TrainableILD.initialize(5, 3, kind, k, seed=40), seed=41)
+        X, labels = model_batch(t, 60, seed=42)
+        keep = labels != missing
+        X, labels = X[keep], labels[keep]
+        loss, grads = _loss_and_grad(t, X, labels, kink_term)
+        ref_loss, ref_grad = per_domain_loss_and_grad(t, X, labels, kink_term)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(
+            grads.vec, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max()
+        )
+        if missing is not None:
+            d0 = missing - 1
+            assert not np.any(grads.dom_L[d0]) and not np.any(grads.dom_logS[d0])
+            assert not np.any(grads.dom_b[d0])
+
+    def test_reused_buffer_equals_fresh_buffer(self):
+        t = perturbed(TrainableILD.initialize(4, 3, "can", 2, seed=43), seed=44)
+        X, labels = model_batch(t, 30, seed=45)
+        buffer = t.params.zeros_like()
+        _loss_and_grad(t, X, labels, kink_term=True, out=buffer)
+        keep = labels != 3
+        loss, grads = _loss_and_grad(t, X[keep], labels[keep], kink_term=True, out=buffer)
+        fresh_loss, fresh = _loss_and_grad(t, X[keep], labels[keep], kink_term=True)
+        assert grads is buffer and loss == fresh_loss
+        np.testing.assert_array_equal(buffer.vec, fresh.vec)
+
+    @pytest.mark.parametrize("label", [0, 4])
+    def test_labels_outside_the_domains_are_rejected(self, label):
+        t = TrainableILD.initialize(2, 3, "dense", seed=0)
+        X = np.random.default_rng(9).standard_normal((4, 2))
+        with pytest.raises(IndexError):
+            nll_gradient(t, (X, np.array([1, 2, 3, label])))
 
 
 class TestParamBuffer:
