@@ -8,7 +8,6 @@ and standard errors.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -20,6 +19,7 @@ from .datagen import (
     oracle_counterfactual_error,
     sample_dataset,
 )
+from .serialize import write_csv
 from .train import TrainableILD, TrainConfig, dataset_nll, train
 
 RESULT_FIELDS = ("seed", "variant", "k", "cf_error", "val_nll", "test_nll")
@@ -125,13 +125,8 @@ def summarize(rows: list[SeedResult]) -> dict:
 
 def write_results_csv(path, rows: list[SeedResult], summary: dict) -> None:
     """Per-seed rows followed by 'mean' and 'stderr' rows for each variant."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_FIELDS)
-        for r in rows:
-            writer.writerow([r.seed, r.variant, r.k] + [repr(getattr(r, m)) for m in _METRICS])
-        for variant, entry in summary.items():
-            for stat in ("mean", "stderr"):
-                writer.writerow(
-                    [stat, variant, entry["k"]] + [repr(entry[f"{m}_{stat}"]) for m in _METRICS]
-                )
+    table = [(r.seed, r.variant, r.k, *(getattr(r, m) for m in _METRICS)) for r in rows]
+    for variant, entry in summary.items():
+        for stat in ("mean", "stderr"):
+            table.append((stat, variant, entry["k"], *(entry[f"{m}_{stat}"] for m in _METRICS)))
+    write_csv(path, RESULT_FIELDS, "%s,%s,%s" + ",%r" * len(_METRICS), table)

@@ -10,13 +10,14 @@ Schemas:
 * history CSV: header ``iteration,train_nll,val_nll``
 
 Floats go through Python's repr (shortest round-trip decimal), so dump/load
-round-trips are exact and reruns are byte-identical.
+round-trips are exact and reruns are byte-identical.  Every CSV line ends in
+``\\r\\n``.  The dataset reader takes unquoted cells and ``\\r\\n``, ``\\n`` or
+``\\r`` line ends, and skips blank lines.
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,7 @@ from .scm import AffineSCM, InterventionSet
 
 
 def _strict_lower_entries(L: np.ndarray) -> list[float]:
-    m = L.shape[0]
-    return [float(L[i, j]) for i in range(m) for j in range(i)]
+    return L[np.tril_indices(L.shape[0], -1)].tolist()
 
 
 def _strict_lower_matrix(entries, m: int) -> np.ndarray:
@@ -39,11 +39,7 @@ def _strict_lower_matrix(entries, m: int) -> np.ndarray:
             f"expected {m * (m - 1) // 2} strictly-lower entries, got {len(entries)}"
         )
     L = np.zeros((m, m))
-    pos = 0
-    for i in range(m):
-        for j in range(i):
-            L[i, j] = entries[pos]
-            pos += 1
+    L[np.tril_indices(m, -1)] = entries  # row-major: (1, 0), (2, 0), (2, 1), ...
     return L
 
 
@@ -131,56 +127,60 @@ def load_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def write_csv(path, header, row_format: str, rows) -> None:
+    """Write ``header``, then ``row_format % row`` for each row (a sequence of
+    Python ints, floats and strings), in one write; every line ends in ``\\r\\n``."""
+    text = ((row_format + "\r\n") * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    Path(path).write_text(",".join(header) + "\r\n" + text, newline="")
+
+
 def write_dataset_csv(path, x: np.ndarray, d: np.ndarray) -> None:
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=int)
     m = x.shape[1] if x.ndim == 2 else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d"] + [f"x{i}" for i in range(1, m + 1)])
-        for label, row in zip(d, x):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+    rows = np.column_stack((d.astype(object), x.reshape(len(x), m).astype(object))).tolist()
+    write_csv(path, ["d"] + [f"x{i}" for i in range(1, m + 1)], "%d" + ",%r" * m, rows)
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "d":
-            raise ValueError(f"{path}: expected header starting with 'd'")
-        m = len(header) - 1
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            if not row:
-                continue
+    lines = Path(path).read_text().split("\n")  # after universal-newline translation
+    header = lines[0].split(",")
+    if header[0] != "d":
+        raise ValueError(f"{path}: expected header starting with 'd'")
+    m = len(header) - 1
+    try:
+        return _parse_rows([line.split(",") for line in lines[1:] if line], m)
+    except (ValueError, OverflowError):
+        for num, line in enumerate(lines[1:], 2):  # name the first bad line
             try:
-                if len(row) != m + 1:
-                    raise ValueError(f"expected {m + 1} cells, got {len(row)}")
-                label = int(row[0])
-                values = [float(v) for v in row[1:]]
-                if label < 1:
-                    raise ValueError(f"domain label must be >= 1, got {label}")
-                if not all(map(math.isfinite, values)):
-                    raise ValueError("values must be finite")
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            labels.append(label)
-            rows.append(values)
-    x = np.asarray(rows, dtype=float).reshape(len(rows), m)
-    return x, np.asarray(labels, dtype=int)
+                if line:
+                    _parse_rows([line.split(",")], m)
+            except (ValueError, OverflowError) as exc:  # a label beyond int64
+                raise ValueError(f"{path}: line {num}: {exc}") from None
+        raise
+
+
+def _parse_rows(rows: list[list[str]], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and labels of rows of ``m + 1`` cells; for one row, the ValueError
+    names its first failed check: cell count, ``int`` label, ``float`` values
+    (``np.array`` calls ``float`` on each cell), label >= 1, finite values."""
+    bad = next((row for row in rows if len(row) != m + 1), None)
+    if bad is not None:
+        raise ValueError(f"expected {m + 1} cells, got {len(bad)}")
+    labels = np.array([int(row[0]) for row in rows], dtype=int)
+    table = np.array(rows, dtype=float).reshape(len(rows), m + 1)
+    if labels.min(initial=1) < 1:
+        raise ValueError(f"domain label must be >= 1, got {labels.min()}")
+    if not np.isfinite(table[:, 1:]).all():
+        raise ValueError("values must be finite")
+    return table[:, 1:], labels
 
 
 def write_history_csv(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "train_nll", "val_nll"])
-        for it, train_nll, val_nll in history:
-            writer.writerow([int(it), repr(float(train_nll)), repr(float(val_nll))])
+    rows = [(int(it), float(tr), float(va)) for it, tr, va in history]
+    write_csv(path, ["iteration", "train_nll", "val_nll"], "%d,%r,%r", rows)
 
 
 def read_history_csv(path) -> list[tuple[int, float, float]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [(int(r[0]), float(r[1]), float(r[2])) for r in reader if r]
+    rows = [line.split(",") for line in Path(path).read_text().split("\n")[1:] if line]
+    return [(int(r[0]), float(r[1]), float(r[2])) for r in rows]

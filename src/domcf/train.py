@@ -263,6 +263,7 @@ def _loss_and_grad(
     labels: np.ndarray,
     kink_term: bool = False,
     out: ParamSet | None = None,
+    logabsdet_W: float | None = None,
 ) -> tuple[float, ParamSet]:
     """Mean negative log-likelihood of the batch and its gradient.
 
@@ -275,15 +276,17 @@ def _loss_and_grad(
     keeps each row's own domain (a label outside ``[1, nd]`` keeps none), and
     column sums are products with a ones vector.  Every entry of ``out`` (a
     fresh buffer when ``None``) is overwritten, so one buffer serves all steps.
+    A given ``logabsdet_W`` is used, not recomputed; ``Adam.step`` returns it.
     """
     p = trainable.params
     m, nd, ns = trainable.dim, trainable.num_domains, trainable.shared_rows
     n, s = X.shape[0], LEAKY_SLOPE
     grads = p.zeros_like() if out is None else out
 
-    sign, logabsdet_W = np.linalg.slogdet(p.W)
-    if sign == 0.0:
-        raise FloatingPointError("inverse mixing matrix became singular")
+    if logabsdet_W is None:
+        sign, logabsdet_W = np.linalg.slogdet(p.W)
+        if sign == 0.0:
+            raise FloatingPointError("inverse mixing matrix became singular")
     U = X @ p.W.T + p.c
     Z = LeakyRelu(s).inverse(U)
     neg = U < 0.0
@@ -560,7 +563,7 @@ class Adam:
         self.v: np.ndarray | None = None
         self.lr: np.ndarray | None = None
 
-    def step(self, params: ParamSet, grads: ParamSet, lr_scale: float = 1.0) -> None:
+    def step(self, params: ParamSet, grads: ParamSet, lr_scale: float = 1.0) -> float:
         cfg = self.config
         if self.m is None:
             self.m = np.zeros_like(grads.vec)
@@ -584,7 +587,7 @@ class Adam:
             x += delta * scale
             sign, logdet = np.linalg.slogdet(params.W)
             if sign != 0.0 and logdet > math.log(_MIN_ABS_DET):
-                return
+                return logdet
             x -= delta * scale
             scale *= 0.5
         raise RuntimeError("observation layer stayed singular after 60 step halvings")
@@ -630,18 +633,18 @@ def train(
             best_val = val_nll
             best_params = work.params.copy()
 
-    search = None
+    search = logdet = None
     grads = work.params.zeros_like()
     record(0)
     for it in range(1, config.iterations + 1):
         idx = rng.integers(0, len(Xtr), size=config.batch_size)
-        _loss_and_grad(work, Xtr[idx], dtr[idx], kink_term=True, out=grads)
+        _loss_and_grad(work, Xtr[idx], dtr[idx], kink_term=True, out=grads, logabsdet_W=logdet)
         decay = (config.iterations - it) / max(config.iterations - 1, 1)
-        optimizer.step(work.params, grads, lr_scale=_INITIAL_LR_FACTOR**decay)
+        logdet = optimizer.step(work.params, grads, lr_scale=_INITIAL_LR_FACTOR**decay)
         if it % _SEARCH_EVERY == 0 and it < config.iterations:
             search = search or _KinkSearch(Xtr, dtr, work.num_domains, config)
-            if search.check(work, it):
-                optimizer = Adam(config)
+            if search.check(work, it):  # rows of W were rewritten
+                optimizer, logdet = Adam(config), None
         if it % config.eval_every == 0:
             record(it)
 

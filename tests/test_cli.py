@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -182,6 +185,43 @@ class TestEval:
         assert json.loads(out.read_text())["cf_error"] == pytest.approx(
             expected, abs=1e-12
         )
+
+    def test_earlier_options_do_not_leak_into_later_calls(self, dataset_dir, tmp_path):
+        """``main`` reuses one parser: an ``eval`` without ``--val`` after one
+        with it scores as a fresh process does, with ``val_nll`` from the
+        checkpoint."""
+        cfg = tmp_path / "train.json"
+        write_json(
+            cfg,
+            {
+                "dataset_dir": str(dataset_dir),
+                "variant": {"kind": "dense"},
+                "train": {"iterations": 20, "eval_every": 10, "batch_size": 16, "seed": 2},
+                "output_dir": str(tmp_path / "fit"),
+            },
+        )
+        assert main(["train", "--config", str(cfg)]) == 0
+        checkpoint = tmp_path / "fit" / "checkpoint.json"
+        argv = [
+            "eval",
+            "--model", str(checkpoint),
+            "--ground-truth", str(dataset_dir / "ground_truth.json"),
+            "--test", str(dataset_dir / "test.csv"),
+        ]
+        with_val = tmp_path / "with_val.json"
+        assert main(argv + ["--val", str(dataset_dir / "test.csv"), "--out", str(with_val)]) == 0
+        assert main(argv + ["--out", str(tmp_path / "again.json")]) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "domcf.cli", *argv, "--out", str(tmp_path / "fresh.json")],
+            env=dict(os.environ, PYTHONPATH=str(README.parent / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        again = (tmp_path / "again.json").read_text()
+        assert again == (tmp_path / "fresh.json").read_text()
+        val_nll = json.loads(checkpoint.read_text())["val_nll"]
+        assert json.loads(again)["val_nll"] == val_nll
+        assert json.loads(with_val.read_text())["val_nll"] != val_nll
 
     def test_shape_mismatch_exits_4(self, dataset_dir, tmp_path):
         other = tmp_path / "other_model.json"

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domcf import serialize
+from domcf.experiment import SeedResult, summarize, write_results_csv
 from conftest import random_chain, random_model, random_scm
 
 
@@ -55,6 +58,46 @@ class TestChainAndModelJson:
         assert set(kinds) <= {"affine", "leaky_relu", "permute", "triangular"}
 
 
+def reference_write_dataset_csv(path, x, d):
+    """The row-at-a-time ``csv.writer`` dataset writer the format was defined by."""
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(d, dtype=int)
+    m = x.shape[1] if x.ndim == 2 else 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["d"] + [f"x{i}" for i in range(1, m + 1)])
+        for label, row in zip(d, x):
+            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+
+
+def reference_read_dataset_csv(path):
+    """The row-at-a-time ``csv.reader`` dataset reader the checks were defined by."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if not header or header[0] != "d":
+            raise ValueError(f"{path}: expected header starting with 'd'")
+        m = len(header) - 1
+        labels, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != m + 1:
+                    raise ValueError(f"expected {m + 1} cells, got {len(row)}")
+                label = int(row[0])
+                values = [float(v) for v in row[1:]]
+                if label < 1:
+                    raise ValueError(f"domain label must be >= 1, got {label}")
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("values must be finite")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            labels.append(label)
+            rows.append(values)
+    return np.asarray(rows, dtype=float).reshape(len(rows), m), np.asarray(labels, dtype=int)
+
+
 class TestDatasetCsv:
     def test_round_trip(self, rng, tmp_path):
         x = rng.standard_normal((20, 3))
@@ -72,13 +115,109 @@ class TestDatasetCsv:
         assert header == "d,x1,x2,x3,x4"
 
     @pytest.mark.parametrize(
-        "bad_row", ["1,1.0,nan", "1,inf,2.0", "2,-inf,0.5", "0,1.0,2.0", "-1,1.0,2.0", "1,1.0", "x,1,2"]
+        "bad_row",
+        [
+            "1,1.0,nan", "1,inf,2.0", "2,-inf,0.5", "0,1.0,2.0", "-1,1.0,2.0", "1,1.0", "x,1,2",
+            "1.0,0.5,0.25", "1,0.5,0.25,", '"1",0.5,0.25', "99999999999999999999,0.5,0.25",
+        ],
     )
     def test_bad_row_names_its_line(self, tmp_path, bad_row):
         path = tmp_path / "data.csv"
         path.write_text(f"d,x1,x2\n1,0.5,0.25\n{bad_row}\n")
         with pytest.raises(ValueError, match="line 3"):
             serialize.read_dataset_csv(path)
+
+    def test_line_endings_and_blank_lines_read_alike(self, rng, tmp_path):
+        x = rng.standard_normal((5, 3))
+        d = rng.integers(1, 4, size=5)
+        crlf = tmp_path / "crlf.csv"
+        serialize.write_dataset_csv(crlf, x, d)
+        lines = crlf.read_bytes().decode().split("\r\n")
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(("\n\n".join(lines[:3]) + "\n" + "\n".join(lines[3:]) + "\n").encode())
+        for got, want in zip(serialize.read_dataset_csv(lf), serialize.read_dataset_csv(crlf)):
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+        np.testing.assert_array_equal(serialize.read_dataset_csv(lf)[0], x)
+
+    def test_bad_row_after_blank_lines_counts_them(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"d,x1\r\n1,0.5\r\n\r\n\n2,nan\r\n")
+        with pytest.raises(ValueError, match="line 5: values must be finite"):
+            serialize.read_dataset_csv(path)
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        serialize.write_dataset_csv(path, np.zeros((0, 3)), np.zeros(0, dtype=int))
+        assert path.read_bytes() == b"d,x1,x2,x3\r\n"
+        x, d = serialize.read_dataset_csv(path)
+        assert x.shape == (0, 3) and d.shape == (0,)
+
+    def test_empty_file_is_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="expected header"):
+            serialize.read_dataset_csv(path)
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 1e22, 2.0**53, 0.1, 1e308]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(
+                st.tuples(
+                    st.integers(1, 99),
+                    st.lists(
+                        st.floats(width=64) | st.sampled_from(_SPECIAL_FLOATS),
+                        min_size=m,
+                        max_size=m,
+                    ),
+                ),
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_dataset_writer_bytes_match_reference(tmp_path_factory, shape_and_rows):
+    m, rows = shape_and_rows
+    x = np.array([values for _, values in rows], dtype=float).reshape(len(rows), m)
+    d = np.array([label for label, _ in rows], dtype=int)
+    root = tmp_path_factory.mktemp("csv")
+    serialize.write_dataset_csv(root / "new.csv", x, d)
+    reference_write_dataset_csv(root / "ref.csv", x, d)
+    assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+
+def _read_outcome(reader, path):
+    try:
+        x, d = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return x.shape, x.tobytes(), d.tobytes()
+
+
+_CELLS = ["1", "2", "0", "-1", "1.0", "0.5", "-2.5e-3", " 3 ", "1_0", "nan", "inf", "", "x",
+          "1e400"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(st.lists(st.sampled_from(_CELLS), max_size=5), max_size=6),
+    st.sampled_from(["\r\n", "\n", "\r"]),
+)
+def test_dataset_reader_matches_reference(tmp_path_factory, m, rows, newline):
+    """Unquoted files read to the same arrays, or fail naming the same line, as
+    the ``csv.reader`` reference."""
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    header = ",".join(["d"] + [f"x{i}" for i in range(1, m + 1)])
+    path.write_bytes(newline.join([header] + [",".join(row) for row in rows]).encode())
+    assert _read_outcome(serialize.read_dataset_csv, path) == _read_outcome(
+        reference_read_dataset_csv, path
+    )
 
 
 class TestHistoryCsv:
@@ -88,6 +227,36 @@ class TestHistoryCsv:
         serialize.write_history_csv(path, history)
         assert serialize.read_history_csv(path) == history
         assert path.read_text().splitlines()[0] == "iteration,train_nll,val_nll"
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        history = [(0, 3.5, 3.6), (100, np.float64(-0.0), 1e-7), (200.0, 5e-324, 1e16)]
+        path, ref = tmp_path / "history.csv", tmp_path / "ref.csv"
+        serialize.write_history_csv(path, history)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "train_nll", "val_nll"])
+            for it, train_nll, val_nll in history:
+                writer.writerow([int(it), repr(float(train_nll)), repr(float(val_nll))])
+        assert path.read_bytes() == ref.read_bytes()
+
+
+def test_results_csv_bytes_match_csv_writer(tmp_path):
+    rows = [SeedResult(0, "can2", 2, 0.5, 1.25, 1e16), SeedResult(1, "dense", 6, 1e-7, -0.0, 3.0)]
+    summary = summarize(rows)
+    path, ref = tmp_path / "results.csv", tmp_path / "ref.csv"
+    write_results_csv(path, rows, summary)
+    metrics = ("cf_error", "val_nll", "test_nll")
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("seed", "variant", "k") + metrics)
+        for r in rows:
+            writer.writerow([r.seed, r.variant, r.k] + [repr(getattr(r, m)) for m in metrics])
+        for variant, entry in summary.items():
+            for stat in ("mean", "stderr"):
+                writer.writerow(
+                    [stat, variant, entry["k"]] + [repr(entry[f"{m}_{stat}"]) for m in metrics]
+                )
+    assert path.read_bytes() == ref.read_bytes()
 
 
 @settings(max_examples=50, deadline=None)

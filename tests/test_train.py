@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -313,6 +314,31 @@ class TestParamBuffer:
             assert np.all(structural_entries(trainable) == 0.0)
 
 
+    def test_passed_log_det_is_never_stale(self, monkeypatch):
+        """Each step reuses ``log |det W|`` from Adam's acceptance test, except
+        after the kink search rewrites rows of ``W``."""
+        spec = GroundTruthSpec(
+            dim=4, num_domains=2, intervention=(3, 4),
+            n_train=500, n_val=100, n_test=100, seed=31,
+        )
+        ds = sample_dataset(generate_ground_truth(spec), spec)
+        passed = []
+
+        def loss_and_grad(trainable, X, labels, kink_term=False, out=None, logabsdet_W=None):
+            if kink_term:
+                passed.append((logabsdet_W, np.linalg.slogdet(trainable.params.W)[1]))
+            return _loss_and_grad(trainable, X, labels, kink_term, out, logabsdet_W)
+
+        train_module = importlib.import_module("domcf.train")
+        monkeypatch.setattr(train_module, "_loss_and_grad", loss_and_grad)
+        t = TrainableILD.initialize(4, 2, "can", 2, seed=31)
+        train(t, ds, TrainConfig(iterations=1000, eval_every=250, batch_size=64, seed=31))
+        assert len(passed) == 1000
+        # Recomputed at the first step and at the step after the search's proposal.
+        assert [i for i, (given, _) in enumerate(passed) if given is None] == [0, 500]
+        assert all(given == fresh for given, fresh in passed[1:500] + passed[501:])
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
@@ -351,6 +377,17 @@ class TestAdam:
         # the full step would land exactly on det ~ 0; half of it is accepted
         assert abs(t.params.W[0, 0] - 0.5) < 1e-6
         assert abs(np.linalg.det(t.params.W)) > 1e-12
+
+    def test_step_returns_log_det_of_accepted_W(self):
+        t = TrainableILD.initialize(1, 2, "dense", seed=0)
+        grads = t.params.zeros_like()
+        grads.W[...] = 1.0
+        opt = Adam(TrainConfig(learning_rate_g=1.0 + 1e-8, iterations=1))
+        logdet = opt.step(t.params, grads)  # a halved step, as above
+        assert logdet == np.linalg.slogdet(t.params.W)[1]
+        _, fresh = _loss_and_grad(t, np.ones((3, 1)), np.array([1, 2, 1]))
+        _, reused = _loss_and_grad(t, np.ones((3, 1)), np.array([1, 2, 1]), logabsdet_W=logdet)
+        assert fresh.vec.tobytes() == reused.vec.tobytes()
 
     def test_bit_identical_runs(self, tiny_dataset):
         cfg = TrainConfig(iterations=50, eval_every=10, batch_size=32, seed=3)
