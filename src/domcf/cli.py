@@ -145,13 +145,17 @@ def _out_dir(config: dict, args) -> Path:
 
 
 def _load_model_file(path):
-    """A model file is either a bare bundle or a checkpoint wrapping one."""
-    data = serialize.load_json(path)
-    meta = {}
-    if "model" in data:
-        meta = {key: val for key, val in data.items() if key != "model"}
-        data = data["model"]
-    return serialize.model_from_dict(data), meta
+    """A model file is either a bare bundle or a checkpoint wrapping one; a
+    malformed one raises ``ValueError`` naming the file."""
+    try:
+        data = serialize.load_json(path)
+        meta = {}
+        if isinstance(data, dict) and "model" in data:
+            meta = {key: val for key, val in data.items() if key != "model"}
+            data = data["model"]
+        return serialize.model_from_dict(data), meta
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_generate(args) -> int:

@@ -69,8 +69,7 @@ class Split:
     d: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        d = np.asarray(self.d, dtype=int)
+        x, d = as_sample_arrays((self.x, self.d))
         if x.ndim != 2 or d.shape != (x.shape[0],):
             raise DimensionMismatch(
                 f"split arrays disagree: x {x.shape}, d {d.shape}"

@@ -129,24 +129,39 @@ def as_sample_arrays(points) -> tuple[np.ndarray, np.ndarray]:
     """Coerce probe points to ``(X, labels)`` arrays.
 
     Accepts an ``(X, labels)`` pair or any object exposing ``x``/``d`` arrays
-    (dataset splits); anything else raises ``ValueError``.
+    (dataset splits); anything else raises ``ValueError``, as does a label
+    that is not a whole number (``2.0`` is taken as ``2``, ``1.9`` refused).
     """
     if hasattr(points, "x") and hasattr(points, "d"):
-        return np.asarray(points.x, dtype=float), np.asarray(points.d, dtype=int)
-    if isinstance(points, tuple) and len(points) == 2:
-        x, d = points
-        return np.asarray(x, dtype=float), np.asarray(d, dtype=int)
-    raise ValueError(
-        f"expected a split with .x/.d arrays or an (X, labels) pair, got {type(points).__name__}"
-    )
+        points = (points.x, points.d)
+    if not (isinstance(points, tuple) and len(points) == 2):
+        raise ValueError(
+            f"expected a split with .x/.d arrays or an (X, labels) pair, got {type(points).__name__}"
+        )
+    x, d = points
+    labels = np.asarray(d)
+    if labels.dtype.kind not in "biu":
+        labels = labels.astype(float)
+        bad = ~np.isfinite(labels) | (labels != np.trunc(labels))
+        if bad.any():
+            raise ValueError(f"domain labels must be integers, got {float(labels[bad][0])}")
+    return np.asarray(x, dtype=float), np.asarray(labels, dtype=int)
 
 
-def _check_pair(a: ILDModel, b: ILDModel):
+def _probe_arrays(a: ILDModel, b: ILDModel, points) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` as ``(X, labels)`` for comparing ``a`` and ``b``; the models must
+    agree in shape, and the points must be non-empty and of their dimension."""
     if a.dim != b.dim or a.num_domains != b.num_domains:
         raise DimensionMismatch(
             f"models disagree in shape: ({a.dim}, {a.num_domains}) vs "
             f"({b.dim}, {b.num_domains})"
         )
+    X, labels = as_sample_arrays(points)
+    if len(X) == 0:
+        raise ValueError("points must be non-empty")
+    if X.shape[-1] != a.dim:
+        raise DimensionMismatch(f"point dim {X.shape[-1]} != model dim {a.dim}")
+    return X, labels
 
 
 def dc_distance(a: ILDModel, b: ILDModel, data, seed: int) -> float:
@@ -157,12 +172,7 @@ def dc_distance(a: ILDModel, b: ILDModel, data, seed: int) -> float:
     squared distance between the two models' counterfactuals is accumulated.
     Symmetric under a shared seed and satisfies the triangle inequality.
     """
-    _check_pair(a, b)
-    X, labels = as_sample_arrays(data)
-    if len(X) == 0:
-        raise ValueError("data must be non-empty")
-    if X.shape[1] != a.dim:
-        raise DimensionMismatch(f"data dim {X.shape[1]} != model dim {a.dim}")
+    X, labels = _probe_arrays(a, b, data)
     rng = np.random.Generator(np.random.PCG64(seed))
     targets = rng.choice(labels, size=len(X), replace=True)
     total = 0.0
@@ -186,10 +196,7 @@ def check_counterfactual_equiv(
     Every probe is pushed through every ordered domain pair; returns the pass
     flag and the maximum coordinatewise deviation seen.
     """
-    _check_pair(a, b)
-    X, _ = as_sample_arrays(points)
-    if X.shape[-1] != a.dim:
-        raise DimensionMismatch(f"probe dim {X.shape[-1]} != model dim {a.dim}")
+    X, _ = _probe_arrays(a, b, points)
     max_dev = 0.0
     for d in range(1, a.num_domains + 1):
         dev = a.counterfactuals(X, d)
@@ -206,10 +213,7 @@ def check_distribution_equiv(
     A sufficient sample-level proxy for density equality: exact when densities
     are continuous and the probes cover the support.
     """
-    _check_pair(a, b)
-    X, labels = as_sample_arrays(points)
-    if X.shape[-1] != a.dim:
-        raise DimensionMismatch(f"probe dim {X.shape[-1]} != model dim {a.dim}")
+    X, labels = _probe_arrays(a, b, points)
     max_dev = 0.0
     for d in np.unique(labels):
         mask = labels == d

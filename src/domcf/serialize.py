@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import CanonicalizationReport
-from .ild import ILDModel
+from .ild import ILDModel, as_sample_arrays
 from .mixing import AffineDense, Layer, LayerChain, LeakyRelu, Permute, Triangular
 from .scm import AffineSCM, InterventionSet
 
@@ -52,9 +52,23 @@ def scm_to_dict(f: AffineSCM) -> dict:
     }
 
 
+def _field(data, key: str, kind=list):
+    """``data[key]`` where ``data`` must be a JSON object holding ``key`` with a
+    value of type ``kind``; otherwise ``ValueError`` names the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"field {key!r} has the wrong type {type(data[key]).__name__}")
+    return data[key]
+
+
 def scm_from_dict(data: dict) -> AffineSCM:
-    m = int(data["dim"])
-    return AffineSCM(_strict_lower_matrix(data["L"], m), data["S"], data["b"])
+    m = int(_field(data, "dim", int))
+    return AffineSCM(
+        _strict_lower_matrix(_field(data, "L"), m), _field(data, "S"), _field(data, "b")
+    )
 
 
 def layer_to_dict(layer: Layer) -> dict:
@@ -74,15 +88,15 @@ def layer_to_dict(layer: Layer) -> dict:
 
 
 def layer_from_dict(data: dict) -> Layer:
-    kind = data["kind"]
+    kind = _field(data, "kind", str)
     if kind == "affine":
-        return AffineDense(np.asarray(data["G"], dtype=float), data["b"])
+        return AffineDense(np.asarray(_field(data, "G"), dtype=float), _field(data, "b"))
     if kind == "leaky_relu":
-        return LeakyRelu(float(data["slope"]))
+        return LeakyRelu(float(_field(data, "slope", (int, float))))
     if kind == "permute":
-        return Permute(tuple(data["pi"]))
+        return Permute(tuple(_field(data, "pi")))
     if kind == "triangular":
-        return Triangular(scm_from_dict(data["scm"]))
+        return Triangular(scm_from_dict(_field(data, "scm", dict)))
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
@@ -92,7 +106,7 @@ def chain_to_dict(chain: LayerChain) -> dict:
 
 def chain_from_dict(data: dict) -> LayerChain:
     return LayerChain(
-        int(data["dim"]), tuple(layer_from_dict(l) for l in data["layers"])
+        int(_field(data, "dim", int)), tuple(layer_from_dict(l) for l in _field(data, "layers"))
     )
 
 
@@ -101,9 +115,12 @@ def model_to_dict(model: ILDModel) -> dict:
 
 
 def model_from_dict(data: dict) -> ILDModel:
-    return ILDModel(
-        chain_from_dict(data["g"]), tuple(scm_from_dict(f) for f in data["F"])
-    )
+    """The model of a bundle; a missing or mistyped field raises ``ValueError``."""
+    try:
+        g = chain_from_dict(_field(data, "g", dict))
+        return ILDModel(g, tuple(scm_from_dict(f) for f in _field(data, "F")))
+    except TypeError as exc:  # an array entry that is not a number
+        raise ValueError(f"mistyped array entry: {exc}") from None
 
 
 def intervention_to_dict(iset: InterventionSet) -> dict:
@@ -135,8 +152,7 @@ def write_csv(path, header, row_format: str, rows) -> None:
 
 
 def write_dataset_csv(path, x: np.ndarray, d: np.ndarray) -> None:
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=int)
+    x, d = as_sample_arrays((x, d))
     m = x.shape[1] if x.ndim == 2 else 0
     rows = np.column_stack((d.astype(object), x.reshape(len(x), m).astype(object))).tolist()
     write_csv(path, ["d"] + [f"x{i}" for i in range(1, m + 1)], "%d" + ",%r" * m, rows)

@@ -18,9 +18,10 @@ even when the fitted mixing is badly conditioned.
 
 Every trainable parameter lives in one contiguous float64 buffer
 (``ParamSet``) with read-only named views; the gradient has the same layout,
-and Adam updates the whole buffer with a few vector operations.  A batch's
-loss and gradient come from one stacked pass over all domains, and a fit
-writes every step's gradient into one reused buffer.
+and Adam updates the whole buffer with a few vector operations.  A training
+step computes only a gradient (``_nll_grad``), in one stacked pass over all
+domains into one reused buffer; records and the kink search's judge take
+their NLL from ``dataset_nll``.
 
 ``nll_gradient`` is the exact reverse-mode gradient of the batch negative
 log-likelihood (the leaky-ReLU derivative at exactly 0 uses the slope-1
@@ -36,6 +37,8 @@ Training departs from the paper's constant-rate Adam in two ways: learning
 rates decay geometrically from 10 times the configured rates to them, and a
 kink search (``_KinkSearch``) periodically proposes new directions for dead or
 useless kinks, keeping a proposal only if the training NLL did not rise.
+It scores candidates by a closed-form profile fit (``_profile_fit``) that
+reads each group of mechanism rows off one Cholesky factor.
 """
 from __future__ import annotations
 
@@ -257,39 +260,33 @@ def _kink_crossing_term(U: np.ndarray) -> np.ndarray:
     )
 
 
-def _loss_and_grad(
+def _nll_grad(
     trainable: TrainableILD,
     X: np.ndarray,
     labels: np.ndarray,
     kink_term: bool = False,
     out: ParamSet | None = None,
-    logabsdet_W: float | None = None,
-) -> tuple[float, ParamSet]:
-    """Mean negative log-likelihood of the batch and its gradient.
+) -> ParamSet:
+    """Gradient of the batch's mean negative log-likelihood.
 
     Works entirely in the inverse direction: ``u = W x + c``, so
     ``log |det J_fwd|`` of the dense layer contributes ``-log |det W|``.
-    Without ``kink_term`` the gradient is the exact gradient of the batch
+    Without ``kink_term`` the result is the exact gradient of the batch
     loss; with it, ``_kink_crossing_term`` is added, which makes the result
     an estimate of the gradient of the expected NLL (the training update).
     One stacked pass serves every domain: a float one-hot mask of the labels
     keeps each row's own domain (a label outside ``[1, nd]`` keeps none), and
     column sums are products with a ones vector.  Every entry of ``out`` (a
     fresh buffer when ``None``) is overwritten, so one buffer serves all steps.
-    A given ``logabsdet_W`` is used, not recomputed; ``Adam.step`` returns it.
+    A singular ``W`` raises ``LinAlgError``.
     """
     p = trainable.params
     m, nd, ns = trainable.dim, trainable.num_domains, trainable.shared_rows
     n, s = X.shape[0], LEAKY_SLOPE
     grads = p.zeros_like() if out is None else out
 
-    if logabsdet_W is None:
-        sign, logabsdet_W = np.linalg.slogdet(p.W)
-        if sign == 0.0:
-            raise FloatingPointError("inverse mixing matrix became singular")
     U = X @ p.W.T + p.c
     Z = LeakyRelu(s).inverse(U)
-    neg = U < 0.0
     ones = np.ones(n)
     onehot = (labels[:, None] == np.arange(1, nd + 1)).astype(float)
     counts = ones @ onehot
@@ -305,8 +302,6 @@ def _loss_and_grad(
     Wgt = Eps * scale
     sq_sums = (ones @ (Eps * Eps)).reshape(nd, m)
     wgt_sums = (ones @ Wgt).reshape(nd, m)
-    loss_sum = n * (0.5 * m * LOG_TWO_PI - logabsdet_W) + np.count_nonzero(neg) * math.log(s)
-    loss_sum += 0.5 * sq_sums.sum() + counts @ logS.sum(axis=1)
 
     # Per-domain gradients in columns [L row | logS | b]; shared rows sum them.
     g = np.empty((nd, m, m + 2))
@@ -323,13 +318,13 @@ def _loss_and_grad(
     )
 
     dU = Wgt @ M2
-    dU *= np.where(neg, 1.0 / s, 1.0)
+    dU *= np.where(U < 0.0, 1.0 / s, 1.0)
     if kink_term:
         dU += _kink_crossing_term(U)
     grads.W[...] = dU.T @ X - n * np.linalg.inv(p.W).T
     grads.c[...] = ones @ dU
     grads.vec[...] /= n
-    return float(loss_sum) / n, grads
+    return grads
 
 
 def _profile_fit(
@@ -339,12 +334,18 @@ def _profile_fit(
 
     With ``W`` and ``c`` fixed the latents ``z`` are fixed, and each mechanism
     row is a least-squares regression of ``z_j`` on ``[1, z_<j]``: pooled over
-    domains for the shared rows, per domain for the trailing ``k``.  With
+    domains for the shared rows, per domain for the trailing ``k``.  All
+    regressions of a group come from one Cholesky factor ``C`` of the group's
+    moment matrix of ``[1, z]`` (the modified Cholesky decomposition): below
+    the constant row, row ``j`` of ``C^{-1}`` is ``(1/S_j) [-a_j, (I - L)_j]``
+    with ``a_j`` the intercept.  Those rows hold ``F^{-1}`` and ``-a / S``,
+    and ``b = (I - L)^{-1} a`` takes one solve.  Each group's moment matrix
+    must be positive definite, so each needs more rows than regressors.  With
     ``choose_rows`` the rows of ``(W, c)`` are first permuted so that the
     ``m - k`` coordinates whose joint law varies least across domains are the
     shared ones (the Gaussian likelihood depends only on that split, not on
     the order within each group).  Returns the refitted copy and its mean NLL
-    on ``(X, labels)``.
+    on ``(X, labels)``, whose mechanism part is ``sum(count * log S) / n``.
     """
     p = trainable.params
     m, nd, ns = trainable.dim, trainable.num_domains, trainable.shared_rows
@@ -359,11 +360,11 @@ def _profile_fit(
     if choose_rows and 0 < ns < m:
 
         def variation(shared: tuple[int, ...]) -> float:
-            idx = np.array(shared) + 1
-            total = n * _logdet_cov(pooled, idx)
-            for cnt, mom in zip(counts, moments):
-                total -= cnt * _logdet_cov(mom, idx)
-            return total
+            # The covariance of z[idx] is the Schur complement of the constant
+            # row in these moments, so both have the same determinant.
+            idx = np.concatenate([[0], np.array(shared) + 1])
+            pooled_logdet = np.linalg.slogdet(pooled[np.ix_(idx, idx)])[1]
+            return n * pooled_logdet - counts @ np.linalg.slogdet(moments[:, idx][:, :, idx])[1]
 
         shared = min(combinations(range(m), ns), key=variation)
         perm = np.array(list(shared) + [j for j in range(m) if j not in shared])
@@ -374,48 +375,24 @@ def _profile_fit(
     moments = moments[:, order][:, :, order]
     pooled = pooled[np.ix_(order, order)]
 
-    nll_rows = 0.0
-    L_shared = np.zeros((ns, m))
-    a_shared = np.zeros(ns)
-    for j in range(ns):
-        a_shared[j], L_shared[j, :j], var = _regress(pooled, j)
-        q.shared_logS[j] = 0.5 * math.log(var)
-        nll_rows += n * q.shared_logS[j]
-    q.shared_L[...] = L_shared
-    q.shared_b[...] = np.linalg.solve(np.eye(ns) - L_shared[:, :ns], a_shared)
-    for d0, (cnt, mom) in enumerate(zip(counts, moments)):
-        L = np.zeros((m, m))
-        L[:ns] = L_shared
-        a = np.zeros(m)
-        a[:ns] = a_shared
-        for j in range(ns, m):
-            a[j], L[j, :j], var = _regress(mom, j)
-            q.dom_logS[d0, j - ns] = 0.5 * math.log(var)
-            nll_rows += cnt * q.dom_logS[d0, j - ns]
-        q.dom_L[d0] = L[ns:]
-        q.dom_b[d0] = np.linalg.solve(np.eye(m) - L, a)[ns:]
-    _, logabsdet_W = np.linalg.slogdet(q.W)
+    # Shared rows from the pooled factor, the trailing k from each domain's.
+    # ``inv`` pivots and may leave rounding above the diagonal; ``tril`` drops it.
+    T = np.linalg.inv(np.linalg.cholesky(moments))[:, 1:]
+    T[:, :ns] = np.linalg.inv(np.linalg.cholesky(pooled))[1 : ns + 1]
+    F_inv = np.tril(T[:, :, 1:])
+    S = 1.0 / np.diagonal(F_inv, axis1=1, axis2=2)
+    L = np.tril(np.eye(m) - S[:, :, None] * F_inv, k=-1)
+    b = np.linalg.solve(F_inv, -T[:, :, :1])[:, :, 0]
+    logS = np.log(S)
+    q.shared_L[...], q.shared_logS[...], q.shared_b[...] = L[0, :ns], logS[0, :ns], b[0, :ns]
+    q.dom_L[...], q.dom_logS[...], q.dom_b[...] = L[:, ns:], logS[:, ns:], b[:, ns:]
     nll = (
         0.5 * m * (LOG_TWO_PI + 1.0)
-        + nll_rows / n
+        + counts @ logS.sum(axis=1) / n
         + math.log(LEAKY_SLOPE) * np.count_nonzero(U < 0.0) / n
-        - logabsdet_W
+        - np.linalg.slogdet(q.W)[1]
     )
     return out, nll
-
-
-def _regress(moment: np.ndarray, j: int) -> tuple[float, np.ndarray, float]:
-    """Intercept, coefficients and residual variance of ``z_j`` on ``[1, z_<j]``
-    from the second-moment matrix of ``[1, z]``."""
-    beta = np.linalg.lstsq(moment[: j + 1, : j + 1], moment[: j + 1, j + 1], rcond=None)[0]
-    var = moment[j + 1, j + 1] - beta @ moment[: j + 1, j + 1]
-    return float(beta[0]), beta[1:], max(float(var), 1e-300)
-
-
-def _logdet_cov(moment: np.ndarray, idx: np.ndarray) -> float:
-    """log det of the covariance of the ``z`` columns ``idx`` (1-based into the moments)."""
-    mean = moment[0, idx]
-    return float(np.linalg.slogdet(moment[np.ix_(idx, idx)] - np.outer(mean, mean))[1])
 
 
 class _KinkSearch:
@@ -425,9 +402,9 @@ class _KinkSearch:
     is linear there and no gradient reaches it.  Fits from the identity start
     settle into local optima with some kinks dead or pointing in directions
     that explain little.  Each check first judges the pending proposal: it is
-    kept if the mean NLL on a fixed training subsample did not rise since it
-    was made, otherwise the parameters are restored and the wait before the
-    next proposal doubles.  A proposal replaces the row of ``(W, c)`` of every
+    kept if the mean NLL on a fixed training subsample (``dataset_nll``, the
+    records' evaluator) did not rise since it was made, otherwise the
+    parameters are restored and the wait before the next proposal doubles.  A proposal replaces the row of ``(W, c)`` of every
     dead kink, or if none is dead the kink whose removal costs the least
     profile NLL, by the candidate with the lowest profile NLL
     (``_profile_fit``) among random directions in whitened coordinates, each
@@ -460,7 +437,7 @@ class _KinkSearch:
         if self.pending is not None:
             before, nll_before = self.pending
             self.pending = None
-            if _loss_and_grad(work, self.X, self.labels)[0] > nll_before:
+            if dataset_nll(work.materialize(), self.X, self.labels) > nll_before:
                 work.params = before
                 self.wait *= 2
                 self.next_proposal = iteration + self.wait
@@ -473,7 +450,7 @@ class _KinkSearch:
         rows = np.flatnonzero((share < _DEAD_SHARE) | (share > 1.0 - _DEAD_SHARE))
         if rows.size == 0:
             rows = [self._least_useful_row(work, U)]
-        self.pending = (work.params.copy(), _loss_and_grad(work, self.X, self.labels)[0])
+        self.pending = (work.params.copy(), dataset_nll(work.materialize(), self.X, self.labels))
         for j in rows:
             work.params.W[j], work.params.c[j] = self._best_row(work, j)
         work.params = _profile_fit(work, self.X, self.labels, choose_rows=True)[0].params
@@ -529,13 +506,12 @@ def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
         raise IndexError(
             f"domain index {bad[0]} out of range [1, {trainable.num_domains}]"
         )
-    return _loss_and_grad(trainable, X, labels)[1]
+    return _nll_grad(trainable, X, labels)
 
 
 def dataset_nll(model: ILDModel, X, labels) -> float:
     """Mean negative log-likelihood of labeled observations under ``model``."""
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    X, labels = as_sample_arrays((X, labels))
     if len(X) == 0:
         raise ValueError("samples must be non-empty")
     total = 0.0
@@ -563,7 +539,7 @@ class Adam:
         self.v: np.ndarray | None = None
         self.lr: np.ndarray | None = None
 
-    def step(self, params: ParamSet, grads: ParamSet, lr_scale: float = 1.0) -> float:
+    def step(self, params: ParamSet, grads: ParamSet, lr_scale: float = 1.0) -> None:
         cfg = self.config
         if self.m is None:
             self.m = np.zeros_like(grads.vec)
@@ -587,7 +563,7 @@ class Adam:
             x += delta * scale
             sign, logdet = np.linalg.slogdet(params.W)
             if sign != 0.0 and logdet > math.log(_MIN_ABS_DET):
-                return logdet
+                return
             x -= delta * scale
             scale *= 0.5
         raise RuntimeError("observation layer stayed singular after 60 step halvings")
@@ -633,18 +609,18 @@ def train(
             best_val = val_nll
             best_params = work.params.copy()
 
-    search = logdet = None
+    search = None
     grads = work.params.zeros_like()
     record(0)
     for it in range(1, config.iterations + 1):
         idx = rng.integers(0, len(Xtr), size=config.batch_size)
-        _loss_and_grad(work, Xtr[idx], dtr[idx], kink_term=True, out=grads, logabsdet_W=logdet)
+        _nll_grad(work, Xtr[idx], dtr[idx], kink_term=True, out=grads)
         decay = (config.iterations - it) / max(config.iterations - 1, 1)
-        logdet = optimizer.step(work.params, grads, lr_scale=_INITIAL_LR_FACTOR**decay)
+        optimizer.step(work.params, grads, lr_scale=_INITIAL_LR_FACTOR**decay)
         if it % _SEARCH_EVERY == 0 and it < config.iterations:
             search = search or _KinkSearch(Xtr, dtr, work.num_domains, config)
             if search.check(work, it):  # rows of W were rewritten
-                optimizer, logdet = Adam(config), None
+                optimizer = Adam(config)
         if it % config.eval_every == 0:
             record(it)
 

@@ -271,6 +271,45 @@ class TestEval:
         assert "non-empty" in capsys.readouterr().err
 
 
+def _without_mechanisms(bundle):
+    del bundle["F"]
+    return bundle
+
+
+def _without_slope(bundle):
+    del bundle["g"]["layers"][0]["slope"]  # the leaky ReLU
+    return bundle
+
+
+def _inside_a_list(bundle):
+    return [bundle]
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("command", ["eval", "canonicalize"])
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [(_without_mechanisms, "'F'"), (_without_slope, "'slope'"), (_inside_a_list, "list")],
+    )
+    def test_exits_4_naming_the_file_and_field(
+        self, dataset_dir, tmp_path, capsys, command, corrupt, named
+    ):
+        bundle = json.loads((dataset_dir / "ground_truth.json").read_text())
+        bad = tmp_path / "bad_model.json"
+        write_json(bad, corrupt(bundle))
+        args = {
+            "eval": [
+                "eval", "--model", str(bad),
+                "--ground-truth", str(dataset_dir / "ground_truth.json"),
+                "--test", str(dataset_dir / "test.csv"),
+            ],
+            "canonicalize": ["canonicalize", "--model", str(bad), "--out", str(tmp_path / "c")],
+        }[command]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert str(bad) in err and named in err
+
+
 class TestCanonicalize:
     def test_demo_model_swaps(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -296,6 +296,12 @@ class TestEquivalenceChecks:
         )
         assert ok
 
+    @pytest.mark.parametrize("check", [check_counterfactual_equiv, check_distribution_equiv])
+    def test_empty_probes_rejected(self, rng, check):
+        model = random_model(rng, 3, 2)
+        with pytest.raises(ValueError, match="points must be non-empty"):
+            check(model, model, (np.zeros((0, 3)), np.zeros(0, dtype=int)), tol=1e-12)
+
     def test_distribution_detects_output_rotation(self, rng):
         model = random_model(rng, 4, 2)
         theta = 0.3
@@ -443,3 +449,13 @@ class TestSampleArrays:
             as_sample_arrays(list(x))
         with pytest.raises(ValueError):
             dc_distance(model, model, list(x), seed=0)
+
+    def test_non_integral_labels_rejected(self, rng):
+        x, _ = probe_points(random_model(rng, 3, 2), 2, seed=1)
+        for make in (lambda d: as_sample_arrays((x, d)), lambda d: Split(x, d)):
+            with pytest.raises(ValueError, match="labels must be integers, got 1.9"):
+                make([1.9, 2.2])
+            with pytest.raises(ValueError, match="labels must be integers, got nan"):
+                make([np.nan, 2.0])
+        _, labels = as_sample_arrays((x, np.array([2.0, 1.0])))
+        assert labels.dtype == np.int_ and labels.tolist() == [2, 1]
