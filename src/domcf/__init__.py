@@ -45,6 +45,7 @@ from .ild import (
     check_counterfactual_equiv,
     check_distribution_equiv,
     construct_equivalent,
+    dataset_nll,
     dc_distance,
     ground_truth_bound_term,
 )
@@ -69,7 +70,6 @@ from .scm import (
 from .train import (
     TrainConfig,
     TrainableILD,
-    dataset_nll,
     nll_gradient,
     nll_loss,
     train,

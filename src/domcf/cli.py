@@ -28,9 +28,9 @@ from .datagen import (
     sample_dataset,
 )
 from .experiment import ExperimentConfig, VariantSpec, run_experiment, write_results_csv
-from .ild import ground_truth_bound_term
+from .ild import dataset_nll, ground_truth_bound_term
 from .scm import DimensionMismatch, intervention_set
-from .train import TrainableILD, TrainConfig, dataset_nll, train
+from .train import TrainableILD, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

@@ -19,8 +19,9 @@ from .datagen import (
     oracle_counterfactual_error,
     sample_dataset,
 )
+from .ild import dataset_nll
 from .serialize import write_csv
-from .train import TrainableILD, TrainConfig, dataset_nll, train
+from .train import TrainableILD, TrainConfig, train
 
 RESULT_FIELDS = ("seed", "variant", "k", "cf_error", "val_nll", "test_nll")
 _METRICS = RESULT_FIELDS[3:]

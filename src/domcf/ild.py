@@ -8,6 +8,17 @@ action (switch mechanism), and prediction (re-generate):
 
     cf(x, d -> d') = g(f_d'(f_d^{-1}(g^{-1}(x))))
 
+Evaluation runs in row blocks.  ``dataset_nll`` is the one likelihood
+kernel: it walks each run of equal labels in blocks of ``_BLOCK_ROWS`` rows
+through the observation chain's stages and keeps only sums.
+``ILDModel.log_likelihood`` stays the per-row reference the kernel is tested
+against.  ``counterfactual`` and ``counterfactuals`` take the same blocks and
+write into one preallocated output.  A full-batch pass keeps several
+batch-sized temporaries alive at once, and the allocator serves each from
+fresh pages, whose minor page faults can cost more than the arithmetic;
+block-sized temporaries are reused from the heap.  Rows never mix in a
+block, so a blocked counterfactual equals the full-batch one bit for bit.
+
 Randomness: every stochastic operation takes an explicit seed and draws from
 numpy's PCG64 generator, optionally through a SeedSequence for derived
 substreams.  Identical seeds give bit-identical outputs.
@@ -19,16 +30,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import LayerChain, Triangular
+from .mixing import LayerChain, LeakyRelu, Triangular
 from .scm import (
     DEFAULT_INTERVENTION_TOL,
     AffineSCM,
     DimensionMismatch,
+    _check_vector,
     compose,
     intervention_set,
 )
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+# Rows per evaluation block: small enough that a block's temporaries come
+# back from the heap on every block, large enough that per-block Python
+# overhead is a small share of a block's arithmetic.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(start: int, stop: int):
+    """``(lo, hi)`` bounds of consecutive row blocks covering ``[start, stop)``.
+
+    A one-row block after others joins the block before it: numpy multiplies a
+    single row by a matrix-vector product, whose rounding can differ from the
+    matrix-matrix product that the same row gets in a larger batch.
+    """
+    bounds = [*range(start, stop, _BLOCK_ROWS), stop]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds, bounds[1:])
 
 
 @dataclass(frozen=True)
@@ -98,25 +127,33 @@ class ILDModel:
         ``z -> A z + c`` with ``A = F_d' F_d^{-1}`` and ``c = b_d' - A b_d``.
         The map is rebuilt on each call (one ``m x m`` product of the
         mechanisms' cached matrices); the batch then goes through
-        ``g(A g^{-1}(x) + c)`` with no solve.
+        ``g(A g^{-1}(x) + c)`` with no solve, in row blocks.
         """
-        A, c = self._latent_map(d, d_prime)
-        return self.g.forward(self.g.inverse(x) @ A.T + c)
+        return self._transport(x, d, (d_prime,))[0]
 
     def counterfactuals(self, x, d: int, targets: tuple[int, ...] | None = None) -> np.ndarray:
         """Counterfactuals of ``x`` from ``d`` into each target, from one abduction.
 
         ``targets`` holds 1-based domains (default: every domain, in order).
-        ``g^{-1}(x)`` is computed once; slice ``i`` of the result is exactly
-        ``counterfactual(x, d, targets[i])``, shape ``(len(targets),) + x.shape``.
+        ``g^{-1}`` is taken once per row block; slice ``i`` of the result is
+        exactly ``counterfactual(x, d, targets[i])``, shape
+        ``(len(targets),) + x.shape``.
         """
         targets = range(1, self.num_domains + 1) if targets is None else targets
+        return self._transport(x, d, targets)
+
+    def _transport(self, x, d: int, targets) -> np.ndarray:
+        """``g(A_t g^{-1}(x) + c_t)`` for each target ``t``, block by block into
+        one output; a single vector is a batch of one."""
         maps = [self._latent_map(d, t) for t in targets]
-        z = self.g.inverse(x)
-        out = np.empty((len(maps),) + z.shape)
-        for cf, (A, c) in zip(out, maps):
-            cf[...] = self.g.forward(z @ A.T + c)
-        return out
+        x = _check_vector(x, self.dim)
+        batch = x.reshape(-1, self.dim)
+        out = np.empty((len(maps),) + batch.shape)
+        for lo, hi in _blocks(0, len(batch)):
+            z = self.g.inverse(batch[lo:hi])
+            for cf, (A, c) in zip(out, maps):
+                cf[lo:hi] = self.g.forward(z @ A.T + c)
+        return out.reshape((len(maps),) + x.shape)
 
     def _latent_map(self, d: int, d_prime: int) -> tuple[np.ndarray, np.ndarray]:
         """``(A, c)`` with ``f_d'(f_d^{-1}(z)) = A z + c``."""
@@ -146,6 +183,51 @@ def as_sample_arrays(points) -> tuple[np.ndarray, np.ndarray]:
         if bad.any():
             raise ValueError(f"domain labels must be integers, got {float(labels[bad][0])}")
     return np.asarray(x, dtype=float), np.asarray(labels, dtype=int)
+
+
+def dataset_nll(model: ILDModel, X, labels) -> float:
+    """Mean negative log-likelihood of labeled observations under ``model``.
+
+    The evaluation kernel (see the module docstring); it equals minus the
+    mean of ``ILDModel.log_likelihood`` over the rows up to rounding.  Each
+    run of equal labels (after a stable sort, if the labels are not already
+    sorted) goes through the stages of ``g`` in reverse in row blocks, and
+    only sums are kept: the squared noise, each leaky ReLU's count of
+    negative inputs per block times its log-slope, and row counts times the
+    constant log-dets.  A label outside ``[1, num_domains]`` raises
+    ``IndexError``, a row width or label count that does not match
+    ``DimensionMismatch``, and an empty input ``ValueError``.
+    """
+    X, labels = as_sample_arrays((X, labels))
+    n = len(X)
+    if n == 0:
+        raise ValueError("samples must be non-empty")
+    if X.ndim != 2 or X.shape[1] != model.dim or labels.shape != (n,):
+        raise DimensionMismatch(
+            f"expected ({n}, {model.dim}) samples with {n} labels, "
+            f"got {X.shape} and {labels.shape}"
+        )
+    order = None
+    if np.any(labels[1:] < labels[:-1]):
+        order = np.argsort(labels, kind="stable")
+        labels = labels[order]
+    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), n]
+    runs = [(lo, hi, model._scm(int(labels[lo]))) for lo, hi in zip(cuts, cuts[1:])]
+
+    stages = model.g.stages[::-1]
+    const_log_det = sum(sum(s.log_dets) for s in stages if not isinstance(s, LeakyRelu))
+    sq_sum = log_det_sum = 0.0
+    for start, stop, f in runs:
+        for lo, hi in _blocks(start, stop):
+            v = X[lo:hi] if order is None else X[order[lo:hi]]
+            for stage in stages:
+                v = stage.inverse(v)
+                if isinstance(stage, LeakyRelu):
+                    log_det_sum += int(np.count_nonzero(v < 0.0)) * math.log(stage.slope)
+            eps = f.inverse(v)
+            sq_sum += float(np.sum(np.square(eps, out=eps)))
+        log_det_sum += (stop - start) * (const_log_det + f.log_abs_det())
+    return (0.5 * sq_sum + log_det_sum) / n + 0.5 * model.dim * LOG_TWO_PI
 
 
 def _probe_arrays(a: ILDModel, b: ILDModel, points) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 Schemas:
 
-* mechanism: ``{"dim": m, "L": [strictly-lower entries, row-major], "S": [...], "b": [...]}``
+* mechanism: ``{"dim": m, "L": [strictly-lower entries, row-major], "S": [...], "b": [...]}``,
+  ``L`` a flat list of ``m(m-1)/2`` numbers
 * chain: ``{"dim": m, "layers": [{"kind": "affine"|"leaky_relu"|"permute"|"triangular", ...}]}``
 * model bundle: ``{"g": chain, "F": [mechanism, ...]}``
 * dataset CSV: header ``d,x1,...,xm``, one row per sample, 1-based domain labels,
@@ -32,12 +33,13 @@ def _strict_lower_entries(L: np.ndarray) -> list[float]:
     return L[np.tril_indices(L.shape[0], -1)].tolist()
 
 
-def _strict_lower_matrix(entries, m: int) -> np.ndarray:
-    entries = list(entries)
-    if len(entries) != m * (m - 1) // 2:
-        raise ValueError(
-            f"expected {m * (m - 1) // 2} strictly-lower entries, got {len(entries)}"
-        )
+def _strict_lower_matrix(entries: list, m: int) -> np.ndarray:
+    """``L`` from its flat list of ``m(m-1)/2`` strictly-lower entries; any other
+    list (nested, of another length, or holding non-numbers) raises
+    ``ValueError`` naming ``L``."""
+    count = m * (m - 1) // 2
+    if len(entries) != count or not all(type(v) in (int, float) for v in entries):
+        raise ValueError(f"field 'L' must be a flat list of {count} numbers, got {entries!r:.60}")
     L = np.zeros((m, m))
     L[np.tril_indices(m, -1)] = entries  # row-major: (1, 0), (2, 0), (2, 1), ...
     return L

@@ -21,7 +21,8 @@ Every trainable parameter lives in one contiguous float64 buffer
 and Adam updates the whole buffer with a few vector operations.  A training
 step computes only a gradient (``_nll_grad``), in one stacked pass over all
 domains into one reused buffer; records and the kink search's judge take
-their NLL from ``dataset_nll``.
+their NLL from ``domcf.ild.dataset_nll``, the blocked evaluation kernel,
+never from the per-row reference ``ILDModel.log_likelihood``.
 
 ``nll_gradient`` is the exact reverse-mode gradient of the batch negative
 log-likelihood (the leaky-ReLU derivative at exactly 0 uses the slope-1
@@ -49,7 +50,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .ild import ILDModel, LOG_TWO_PI, as_sample_arrays
+from .ild import ILDModel, LOG_TWO_PI, as_sample_arrays, dataset_nll
 from .mixing import _MIN_ABS_DET, AffineDense, LayerChain, LeakyRelu
 from .scm import AffineSCM
 
@@ -509,18 +510,6 @@ def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
     return _nll_grad(trainable, X, labels)
 
 
-def dataset_nll(model: ILDModel, X, labels) -> float:
-    """Mean negative log-likelihood of labeled observations under ``model``."""
-    X, labels = as_sample_arrays((X, labels))
-    if len(X) == 0:
-        raise ValueError("samples must be non-empty")
-    total = 0.0
-    for d in np.unique(labels):
-        mask = labels == d
-        total += float(np.sum(model.log_likelihood(X[mask], int(d))))
-    return -total / len(X)
-
-
 class Adam:
     """Adam with bias correction and per-group learning rates.
 
@@ -581,7 +570,9 @@ def train(
     Records (iteration, train NLL, validation NLL) at iteration 0 and then
     every ``eval_every`` iterations, both over the full splits.  Returns the
     materialized model from the recorded iteration with the lowest validation
-    NLL, plus the history.  The input ``trainable`` is not mutated.  Batches
+    NLL, plus the history.  A train column with zero variance, which no
+    invertible observation layer can fit, raises ``ValueError`` before the
+    first step.  The input ``trainable`` is not mutated.  Batches
     are drawn with replacement from a PCG64 stream seeded by ``config.seed``;
     the kink search draws from its own stream.
     """
@@ -589,6 +580,9 @@ def train(
     Xval, dval = as_sample_arrays(dataset.val)
     if len(Xtr) == 0 or len(Xval) == 0:
         raise ValueError("train and validation splits must be non-empty")
+    flat = np.flatnonzero(np.ptp(Xtr, axis=0) == 0.0)
+    if flat.size:
+        raise ValueError(f"train column {flat[0] + 1} has zero variance")
 
     work = trainable.copy()
     optimizer = Adam(config)

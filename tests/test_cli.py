@@ -130,6 +130,25 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 0
         assert len(serialize.read_history_csv(out / "history.csv")) == 40 // 10 + 1
 
+    def test_constant_train_column_exits_4(self, dataset_dir, tmp_path, capsys):
+        lines = (dataset_dir / "train.csv").read_text().splitlines()
+        rows = [line.split(",")[:2] + ["0.5"] for line in lines[1:]]
+        (dataset_dir / "train.csv").write_text(
+            "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+        )
+        cfg = tmp_path / "train.json"
+        write_json(
+            cfg,
+            {
+                "dataset_dir": str(dataset_dir),
+                "variant": {"kind": "dense"},
+                "train": {"iterations": 40, "eval_every": 10, "batch_size": 16, "seed": 1},
+                "output_dir": str(tmp_path / "run"),
+            },
+        )
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert "train column 2 has zero variance" in capsys.readouterr().err
+
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = tmp_path / "train.json"
         write_json(
@@ -285,11 +304,22 @@ def _inside_a_list(bundle):
     return [bundle]
 
 
+def _nested_lower_entries(bundle):
+    # dim 2 has one strictly-lower entry; [[v]] has one too, but is nested
+    bundle["F"][0]["L"] = [bundle["F"][0]["L"]]
+    return bundle
+
+
 class TestMalformedModelFile:
     @pytest.mark.parametrize("command", ["eval", "canonicalize"])
     @pytest.mark.parametrize(
         "corrupt, named",
-        [(_without_mechanisms, "'F'"), (_without_slope, "'slope'"), (_inside_a_list, "list")],
+        [
+            (_without_mechanisms, "'F'"),
+            (_without_slope, "'slope'"),
+            (_inside_a_list, "list"),
+            (_nested_lower_entries, "'L'"),
+        ],
     )
     def test_exits_4_naming_the_file_and_field(
         self, dataset_dir, tmp_path, capsys, command, corrupt, named

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domcf import (
     AffineDense,
     AffineSCM,
+    DimensionMismatch,
     ILDModel,
     LayerChain,
     LeakyRelu,
@@ -13,13 +16,16 @@ from domcf import (
     Split,
     Triangular,
     as_sample_arrays,
+    canonicalize,
     check_counterfactual_equiv,
     check_distribution_equiv,
     construct_equivalent,
+    dataset_nll,
     dc_distance,
     ground_truth_bound_term,
     intervention_set,
 )
+from domcf.ild import _BLOCK_ROWS
 from conftest import (
     family_with_intervention,
     kink_distance,
@@ -459,3 +465,114 @@ class TestSampleArrays:
                 make([np.nan, 2.0])
         _, labels = as_sample_arrays((x, np.array([2.0, 1.0])))
         assert labels.dtype == np.int_ and labels.tolist() == [2, 1]
+
+
+# Row counts around the evaluation block size: one short of a block, exactly
+# one, one over (a one-row tail) and two blocks plus one row.
+BLOCK_EDGES = (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1)
+
+
+def reference_nll(model: ILDModel, X, labels) -> float:
+    """Minus the mean of the per-row reference ``ILDModel.log_likelihood``."""
+    ll = np.empty(len(X))
+    for d in np.unique(labels):
+        ll[labels == d] = model.log_likelihood(X[labels == d], int(d))
+    return -float(np.mean(ll))
+
+
+def multi_stage_model(gen: np.random.Generator, how: str) -> ILDModel:
+    """A 4-dim, 3-domain model whose chain has several affine and leaky stages."""
+    m, nd = 4, 3
+    if how == "mixed":
+        return ILDModel(mixed_chain(gen, m), tuple(random_scm(gen, m) for _ in range(nd)))
+    if how == "equivalent":
+        return construct_equivalent(random_model(gen, m, nd), random_scm(gen, m), random_scm(gen, m))
+    canon, _, report = canonicalize(family_with_intervention(gen, m, nd, (1, 3)))
+    assert report.swaps
+    return canon
+
+
+def sample_rows(model: ILDModel, n: int, seed: int, labels: str):
+    if labels == "single":
+        return model.sample(2, n, seed), np.full(n, 2)
+    X, d = probe_points(model, n, seed)
+    if labels == "shuffled":
+        order = np.random.default_rng(seed).permutation(n)
+        X, d = X[order], d[order]
+    return X, d
+
+
+class TestDatasetNllKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(("mixed", "equivalent", "canonical")),
+        st.sampled_from(("sorted", "shuffled", "single")),
+        st.sampled_from((1, 2, 7) + BLOCK_EDGES),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_the_per_row_reference(self, how, labels, n, seed):
+        gen = np.random.default_rng(seed)
+        model = multi_stage_model(gen, how)
+        X, d = sample_rows(model, n, int(gen.integers(1 << 30)), labels)
+        got = dataset_nll(model, X, d)
+        assert type(got) is float
+        assert got == pytest.approx(reference_nll(model, X, d), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_block_edge_sizes_with_every_label_order(self, rng, n):
+        model = multi_stage_model(rng, "canonical")
+        for labels in ("sorted", "shuffled", "single"):
+            X, d = sample_rows(model, n, 11, labels)
+            assert dataset_nll(model, X, d) == pytest.approx(
+                reference_nll(model, X, d), rel=1e-12, abs=0.0
+            )
+
+    def test_bad_input_rejected(self, rng):
+        model = random_model(rng, 3, 2)
+        X, d = probe_points(model, 10, seed=1)
+        for label in (0, 3, -1):
+            bad = d.copy()
+            bad[4] = label
+            with pytest.raises(IndexError, match="out of range"):
+                dataset_nll(model, X, bad)
+        with pytest.raises(DimensionMismatch):
+            dataset_nll(model, X[:, :2], d)
+        with pytest.raises(DimensionMismatch):
+            dataset_nll(model, X, d[:-1])
+        with pytest.raises(ValueError, match="non-empty"):
+            dataset_nll(model, np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
+class TestBlockedCounterfactuals:
+    """Blocked counterfactuals equal the unblocked formula bit for bit."""
+
+    @staticmethod
+    def unblocked(model: ILDModel, x, d: int, t: int) -> np.ndarray:
+        A, c = model._latent_map(d, t)
+        return model.g.forward(model.g.inverse(x) @ A.T + c)
+
+    @pytest.mark.parametrize("how", ["mixed", "equivalent", "canonical"])
+    def test_bytes_equal_the_full_batch_formula(self, rng, how):
+        model = multi_stage_model(rng, how)
+        nd = model.num_domains
+        X = model.sample(1, BLOCK_EDGES[-1], seed=3)
+        for n in (1, 2) + BLOCK_EDGES:
+            x = X[:n]
+            for d in range(1, nd + 1):
+                expected = [self.unblocked(model, x, d, t) for t in range(1, nd + 1)]
+                got = model.counterfactuals(x, d)
+                picked = model.counterfactuals(x, d, (nd, 1))
+                for t in range(1, nd + 1):
+                    assert model.counterfactual(x, d, t).tobytes() == expected[t - 1].tobytes()
+                    assert got[t - 1].tobytes() == expected[t - 1].tobytes()
+                assert picked[0].tobytes() == expected[nd - 1].tobytes()
+                assert picked[1].tobytes() == expected[0].tobytes()
+
+    def test_single_vector_is_a_batch_of_one(self, rng):
+        model = multi_stage_model(rng, "equivalent")
+        for x in model.sample(2, 20, seed=4):
+            for t in (1, 3):
+                cf = model.counterfactual(x, 2, t)
+                assert cf.shape == (4,)
+                assert cf.tobytes() == self.unblocked(model, x, 2, t).tobytes()
+            assert model.counterfactuals(x, 2).shape == (3, 4)

@@ -25,6 +25,22 @@ class TestScmJson:
         data = serialize.scm_to_dict(f)
         assert data["L"] == [f.L[1, 0], f.L[2, 0], f.L[2, 1]]
 
+    @pytest.mark.parametrize(
+        "m, L",
+        [
+            (2, [[0.5]]),
+            (3, [[0.5, 1.0, 2.0]]),
+            (3, [0.5, [1.0], 2.0]),
+            (3, ["0.5", "1", "2"]),
+            (2, [1.0, 2.0]),
+        ],
+    )
+    def test_lower_entries_must_be_a_flat_list_of_numbers(self, rng, m, L):
+        data = serialize.scm_to_dict(random_scm(rng, m))
+        data["L"] = L
+        with pytest.raises(ValueError, match="field 'L' must be a flat list of"):
+            serialize.scm_from_dict(data)
+
     def test_survives_json_text(self, rng):
         f = random_scm(rng, 4)
         text = json.dumps(serialize.scm_to_dict(f))

@@ -547,6 +547,24 @@ class TestTrain:
             _, history = train(t, tiny_dataset, cfg)
             assert history[-1][1] < history[0][1]
 
+    def test_constant_train_column_rejected_before_any_step(self, monkeypatch):
+        gen = np.random.default_rng(3)
+        X = gen.standard_normal((40, 3))
+        X[:, 1] = 0.25
+        d = np.repeat([1, 2], 20)
+        dataset = MultiDomainDataset(
+            train=Split(X, d), val=Split(gen.standard_normal((10, 3)), d[::4]),
+            test=Split(gen.standard_normal((10, 3)), d[::4]),
+            spec=GroundTruthSpec(3, 2, (3,), 20, 5, 5, 3), generator_model=None,
+        )
+        steps = []
+        step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda *a, **kw: steps.append(1) or step(*a, **kw))
+        t = TrainableILD.initialize(3, 2, "can", k=1, seed=0)
+        with pytest.raises(ValueError, match="train column 2 has zero variance"):
+            train(t, dataset, TrainConfig(iterations=20, eval_every=10, batch_size=8, seed=0))
+        assert steps == []
+
     def test_dense_and_can_full_k_share_trajectories(self, tiny_dataset):
         cfg = TrainConfig(iterations=60, eval_every=20, batch_size=32, seed=9)
         results = []
