@@ -28,7 +28,7 @@ from .datagen import (
     sample_dataset,
 )
 from .experiment import ExperimentConfig, VariantSpec, run_experiment, write_results_csv
-from .ild import dataset_nll, ground_truth_bound_term
+from .ild import _label_runs, _labeled_rows, dataset_nll, ground_truth_bound_term
 from .scm import DimensionMismatch, intervention_set
 from .train import TrainableILD, TrainConfig, train
 
@@ -272,10 +272,12 @@ def cmd_counterfactual(args) -> int:
         raise DimensionMismatch(
             f"target domain {target} out of range [1, {model.num_domains}]"
         )
+    x, d = _labeled_rows((x, d), model)
+    order, runs = _label_runs(d)
     rows = np.empty_like(x)
-    for dom in np.unique(d):
-        mask = d == dom
-        rows[mask] = model.counterfactual(x[mask], int(dom), target)
+    for lo, hi, dom in runs:
+        idx = slice(lo, hi) if order is None else order[lo:hi]
+        rows[idx] = model.counterfactual(x[idx], dom, target)
     serialize.write_dataset_csv(args.out, rows, np.full(len(x), target, dtype=int))
     print(f"wrote {len(x)} counterfactuals into domain {target}: {args.out}")
     return EXIT_OK

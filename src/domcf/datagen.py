@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ild import ILDModel, as_sample_arrays
-from .mixing import AffineDense, LayerChain, LeakyRelu
+from .ild import ILDModel, _label_runs, _labeled_rows, as_sample_arrays
+from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
 from .scm import AffineSCM, DimensionMismatch, intervention_set
 
 logger = logging.getLogger(__name__)
@@ -152,9 +152,10 @@ def generate_ground_truth(spec: GroundTruthSpec) -> ILDModel:
         standardize = AffineDense(np.diag(1.0 / sigma), -mu / sigma)
 
         G = rng.standard_normal((m, m))
-        sign, logdet = np.linalg.slogdet(G)
-        if sign == 0.0 or math.exp(logdet) < 1e-12:
+        slogdet = _invertible_slogdet(G)
+        if slogdet is None:
             continue
+        sign, logdet = slogdet
         G = G / math.exp(logdet / m)
         if sign < 0.0:
             G = G.copy()
@@ -210,24 +211,21 @@ def oracle_counterfactual_error(estimated: ILDModel, gt: ILDModel, test) -> floa
     For every ordered domain pair (d, d') with d != d', the squared distance
     between the two models' counterfactuals is averaged over the test samples
     of domain d; the per-pair means are summed and scaled by
-    ``2 / (N_d (N_d - 1))``.
+    ``2 / (N_d (N_d - 1))``.  Bad input raises as ``domcf.ild._labeled_rows``
+    says, and a domain with no test samples ``ValueError``.
     """
-    if estimated.dim != gt.dim or estimated.num_domains != gt.num_domains:
-        raise DimensionMismatch("estimated and ground-truth models disagree in shape")
-    X, labels = as_sample_arrays(test)
-    if len(X) == 0:
-        raise ValueError("test set must be non-empty")
-    if X.shape[1] != gt.dim:
-        raise DimensionMismatch(f"test dim {X.shape[1]} != model dim {gt.dim}")
+    X, labels = _labeled_rows(test, estimated, gt)
     nd = gt.num_domains
+    order, runs = _label_runs(labels)
+    missing = set(range(1, nd + 1)).difference(d for _, _, d in runs)
+    if missing:
+        raise ValueError(f"test set has no samples for domain {min(missing)}")
     total = 0.0
-    for d in range(1, nd + 1):
-        mask = labels == d
-        if not np.any(mask):
-            raise ValueError(f"test set has no samples for domain {d}")
+    for lo, hi, d in runs:
+        rows = slice(lo, hi) if order is None else order[lo:hi]
         others = tuple(t for t in range(1, nd + 1) if t != d)
-        diff = estimated.counterfactuals(X[mask], d, others)
-        diff -= gt.counterfactuals(X[mask], d, others)
+        diff = estimated.counterfactuals(X[rows], d, others)
+        diff -= gt.counterfactuals(X[rows], d, others)
         for cf in diff:
             total += float(np.mean(np.sum(cf**2, axis=1)))
     return 2.0 / (nd * (nd - 1)) * total

@@ -19,6 +19,10 @@ fresh pages, whose minor page faults can cost more than the arithmetic;
 block-sized temporaries are reused from the heap.  Rows never mix in a
 block, so a blocked counterfactual equals the full-batch one bit for bit.
 
+Labeled samples ``(X, labels)`` follow one contract wherever they enter:
+``_labeled_rows`` checks them (its docstring lists the errors), and
+``_label_runs`` groups rows by label, stably, sorting only unsorted labels.
+
 Randomness: every stochastic operation takes an explicit seed and draws from
 numpy's PCG64 generator, optionally through a SeedSequence for derived
 substreams.  Identical seeds give bit-identical outputs.
@@ -185,39 +189,59 @@ def as_sample_arrays(points) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(x, dtype=float), np.asarray(labels, dtype=int)
 
 
+def _labeled_rows(points, *models) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` as ``(X, labels)`` checked against ``models``, which must agree
+    in ``(dim, num_domains)``: an empty input raises ``ValueError``, an ``X``
+    that is not ``(n, dim)`` with ``n`` labels ``DimensionMismatch``, and a
+    label outside ``[1, num_domains]`` ``IndexError``."""
+    dim, nd = models[0].dim, models[0].num_domains
+    for other in models[1:]:
+        if (other.dim, other.num_domains) != (dim, nd):
+            raise DimensionMismatch(
+                f"models disagree in shape: ({dim}, {nd}) vs ({other.dim}, {other.num_domains})"
+            )
+    X, labels = as_sample_arrays(points)
+    if X.shape[:1] == (0,):
+        raise ValueError("points must be non-empty")
+    if X.ndim != 2 or X.shape[1] != dim or labels.shape != X.shape[:1]:
+        raise DimensionMismatch(
+            f"expected (n, {dim}) points with n labels, got {X.shape} and {labels.shape}"
+        )
+    if labels.min() < 1 or labels.max() > nd:
+        bad = labels[(labels < 1) | (labels > nd)][0]
+        raise IndexError(f"domain index {bad} out of range [1, {nd}]")
+    return X, labels
+
+
+def _label_runs(keys: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int, int]]]:
+    """``order``, the stable argsort of ``keys`` (``None`` if already sorted), and
+    the ``(lo, hi, key)`` runs of equal keys in ascending order: rows
+    ``order[lo:hi]`` (``lo:hi`` if sorted) hold ``key``, in their original order."""
+    order = None
+    if np.any(keys[1:] < keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    return order, [(lo, hi, int(keys[lo])) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def dataset_nll(model: ILDModel, X, labels) -> float:
     """Mean negative log-likelihood of labeled observations under ``model``.
 
     The evaluation kernel (see the module docstring); it equals minus the
     mean of ``ILDModel.log_likelihood`` over the rows up to rounding.  Each
-    run of equal labels (after a stable sort, if the labels are not already
-    sorted) goes through the stages of ``g`` in reverse in row blocks, and
-    only sums are kept: the squared noise, each leaky ReLU's count of
-    negative inputs per block times its log-slope, and row counts times the
-    constant log-dets.  A label outside ``[1, num_domains]`` raises
-    ``IndexError``, a row width or label count that does not match
-    ``DimensionMismatch``, and an empty input ``ValueError``.
+    run of equal labels (``_label_runs``) goes through the stages of ``g`` in
+    reverse in row blocks, keeping only sums: the squared noise, each leaky
+    ReLU's count of negative inputs per block times its log-slope, and row
+    counts times the constant log-dets.  Bad input raises as in ``_labeled_rows``.
     """
-    X, labels = as_sample_arrays((X, labels))
-    n = len(X)
-    if n == 0:
-        raise ValueError("samples must be non-empty")
-    if X.ndim != 2 or X.shape[1] != model.dim or labels.shape != (n,):
-        raise DimensionMismatch(
-            f"expected ({n}, {model.dim}) samples with {n} labels, "
-            f"got {X.shape} and {labels.shape}"
-        )
-    order = None
-    if np.any(labels[1:] < labels[:-1]):
-        order = np.argsort(labels, kind="stable")
-        labels = labels[order]
-    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), n]
-    runs = [(lo, hi, model._scm(int(labels[lo]))) for lo, hi in zip(cuts, cuts[1:])]
-
+    X, labels = _labeled_rows((X, labels), model)
+    order, runs = _label_runs(labels)
     stages = model.g.stages[::-1]
     const_log_det = sum(sum(s.log_dets) for s in stages if not isinstance(s, LeakyRelu))
     sq_sum = log_det_sum = 0.0
-    for start, stop, f in runs:
+    for start, stop, d in runs:
+        f = model.scms[d - 1]
         for lo, hi in _blocks(start, stop):
             v = X[lo:hi] if order is None else X[order[lo:hi]]
             for stage in stages:
@@ -227,23 +251,7 @@ def dataset_nll(model: ILDModel, X, labels) -> float:
             eps = f.inverse(v)
             sq_sum += float(np.sum(np.square(eps, out=eps)))
         log_det_sum += (stop - start) * (const_log_det + f.log_abs_det())
-    return (0.5 * sq_sum + log_det_sum) / n + 0.5 * model.dim * LOG_TWO_PI
-
-
-def _probe_arrays(a: ILDModel, b: ILDModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """``points`` as ``(X, labels)`` for comparing ``a`` and ``b``; the models must
-    agree in shape, and the points must be non-empty and of their dimension."""
-    if a.dim != b.dim or a.num_domains != b.num_domains:
-        raise DimensionMismatch(
-            f"models disagree in shape: ({a.dim}, {a.num_domains}) vs "
-            f"({b.dim}, {b.num_domains})"
-        )
-    X, labels = as_sample_arrays(points)
-    if len(X) == 0:
-        raise ValueError("points must be non-empty")
-    if X.shape[-1] != a.dim:
-        raise DimensionMismatch(f"point dim {X.shape[-1]} != model dim {a.dim}")
-    return X, labels
+    return (0.5 * sq_sum + log_det_sum) / len(X) + 0.5 * model.dim * LOG_TWO_PI
 
 
 def dc_distance(a: ILDModel, b: ILDModel, data, seed: int) -> float:
@@ -254,19 +262,16 @@ def dc_distance(a: ILDModel, b: ILDModel, data, seed: int) -> float:
     squared distance between the two models' counterfactuals is accumulated.
     Symmetric under a shared seed and satisfies the triangle inequality.
     """
-    X, labels = _probe_arrays(a, b, data)
+    X, labels = _labeled_rows(data, a, b)
     rng = np.random.Generator(np.random.PCG64(seed))
     targets = rng.choice(labels, size=len(X), replace=True)
+    order, runs = _label_runs(labels * (a.num_domains + 1) + targets)
     total = 0.0
-    for d in np.unique(labels):
-        for d_prime in np.unique(targets):
-            mask = (labels == d) & (targets == d_prime)
-            if not np.any(mask):
-                continue
-            diff = a.counterfactual(X[mask], int(d), int(d_prime)) - b.counterfactual(
-                X[mask], int(d), int(d_prime)
-            )
-            total += float(np.sum(diff**2))
+    for lo, hi, key in runs:
+        rows = slice(lo, hi) if order is None else order[lo:hi]
+        d, d_prime = divmod(key, a.num_domains + 1)
+        diff = a.counterfactual(X[rows], d, d_prime) - b.counterfactual(X[rows], d, d_prime)
+        total += float(np.sum(diff**2))
     return math.sqrt(total / len(X))
 
 
@@ -278,7 +283,7 @@ def check_counterfactual_equiv(
     Every probe is pushed through every ordered domain pair; returns the pass
     flag and the maximum coordinatewise deviation seen.
     """
-    X, _ = _probe_arrays(a, b, points)
+    X, _ = _labeled_rows(points, a, b)
     max_dev = 0.0
     for d in range(1, a.num_domains + 1):
         dev = a.counterfactuals(X, d)
@@ -295,13 +300,12 @@ def check_distribution_equiv(
     A sufficient sample-level proxy for density equality: exact when densities
     are continuous and the probes cover the support.
     """
-    X, labels = _probe_arrays(a, b, points)
+    X, labels = _labeled_rows(points, a, b)
+    order, runs = _label_runs(labels)
     max_dev = 0.0
-    for d in np.unique(labels):
-        mask = labels == d
-        dev = np.abs(
-            a.log_likelihood(X[mask], int(d)) - b.log_likelihood(X[mask], int(d))
-        )
+    for lo, hi, d in runs:
+        rows = slice(lo, hi) if order is None else order[lo:hi]
+        dev = np.abs(a.log_likelihood(X[rows], d) - b.log_likelihood(X[rows], d))
         max_dev = max(max_dev, float(np.max(dev)))
     return max_dev <= tol, max_dev
 
@@ -343,15 +347,12 @@ def ground_truth_bound_term(
     eps = rng.standard_normal((n_mc, m))
     d_from = rng.integers(0, nd, size=n_mc)
     d_to = (d_from + rng.integers(1, nd, size=n_mc)) % nd
+    order, runs = _label_runs(d_from * nd + d_to)
     sq = np.zeros(m)
-    for a in range(nd):
-        for c in range(nd):
-            if a == c:
-                continue
-            mask = (d_from == a) & (d_to == c)
-            if not np.any(mask):
-                continue
-            diff = model.scms[a].forward(eps[mask]) - model.scms[c].forward(eps[mask])
-            sq += np.sum(diff**2, axis=0)
+    for lo, hi, key in runs:
+        rows = slice(lo, hi) if order is None else order[lo:hi]
+        f_from, f_to = (model.scms[i] for i in divmod(key, nd))
+        diff = f_from.forward(eps[rows]) - f_to.forward(eps[rows])
+        sq += np.sum(diff**2, axis=0)
     per_coord = sq / n_mc
     return k * lip**2 * float(per_coord.max())

@@ -29,6 +29,13 @@ from .scm import AffineSCM, DimensionMismatch, _check_vector, _frozen_array
 _MIN_ABS_DET = 1e-12
 
 
+def _invertible_slogdet(G: np.ndarray) -> tuple[float, float] | None:
+    """``np.linalg.slogdet(G)`` if ``|det G| > 1e-12``, else ``None``: the one
+    invertibility test of layers, training steps and ground-truth draws."""
+    sign, logabsdet = np.linalg.slogdet(G)
+    return (sign, logabsdet) if sign != 0.0 and logabsdet > math.log(_MIN_ABS_DET) else None
+
+
 @dataclass(frozen=True)
 class AffineDense:
     """Invertible dense affine layer ``y = G x + b``.
@@ -50,8 +57,8 @@ class AffineDense:
             raise DimensionMismatch(f"b must have shape ({G.shape[0]},), got {b.shape}")
         if not (np.isfinite(G).all() and np.isfinite(b).all()):
             raise ValueError("G and b must be finite")
-        sign, logabsdet = np.linalg.slogdet(G)
-        if sign == 0.0 or logabsdet <= math.log(_MIN_ABS_DET):
+        slogdet = _invertible_slogdet(G)
+        if slogdet is None:
             raise ValueError("G is numerically singular (|det| <= 1e-12)")
         lu_piv = lu_factor(G, check_finite=False)
         G_inv = lu_solve(lu_piv, np.eye(G.shape[0]), check_finite=False)
@@ -59,7 +66,7 @@ class AffineDense:
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_G_inv", G_inv)
-        object.__setattr__(self, "_logabsdet", float(logabsdet))
+        object.__setattr__(self, "_logabsdet", float(slogdet[1]))
 
     @property
     def dim(self) -> int:

@@ -50,8 +50,8 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .ild import ILDModel, LOG_TWO_PI, as_sample_arrays, dataset_nll
-from .mixing import _MIN_ABS_DET, AffineDense, LayerChain, LeakyRelu
+from .ild import ILDModel, LOG_TWO_PI, _labeled_rows, as_sample_arrays, dataset_nll
+from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
 from .scm import AffineSCM
 
 ADAM_EPS = 1e-8
@@ -475,8 +475,7 @@ class _KinkSearch:
             kink = float(np.median(self.X @ row))
             for sign in (1.0, -1.0):
                 trial.params.W[j], trial.params.c[j] = sign * row, -sign * kink
-                sign_det, logdet = np.linalg.slogdet(trial.params.W)
-                if sign_det == 0.0 or logdet <= math.log(_MIN_ABS_DET):
+                if _invertible_slogdet(trial.params.W) is None:
                     continue
                 nll = _profile_fit(trial, self.X, self.labels)[1]
                 if nll < best_nll:
@@ -496,18 +495,9 @@ def nll_loss(trainable: TrainableILD, batch) -> float:
 def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
     """Exact gradient of ``nll_loss`` with respect to every free parameter.
 
-    Like ``nll_loss``, raises ``IndexError`` on a label outside
-    ``[1, num_domains]``.
+    Bad input raises as it does for ``nll_loss`` (``domcf.ild._labeled_rows``).
     """
-    X, labels = as_sample_arrays(batch)
-    if len(X) == 0:
-        raise ValueError("batch must be non-empty")
-    bad = labels[(labels < 1) | (labels > trainable.num_domains)]
-    if bad.size:
-        raise IndexError(
-            f"domain index {bad[0]} out of range [1, {trainable.num_domains}]"
-        )
-    return _nll_grad(trainable, X, labels)
+    return _nll_grad(trainable, *_labeled_rows(batch, trainable))
 
 
 class Adam:
@@ -515,7 +505,7 @@ class Adam:
 
     The observation-layer group (``W``, ``c``) uses ``learning_rate_g``; all
     mechanism parameters use ``learning_rate_f``.  If a step would make the
-    observation layer numerically non-invertible (``|det W| < 1e-12``), the
+    observation layer numerically non-invertible (``_invertible_slogdet``), the
     step is rejected and retried at half the learning rate; moments are
     updated once per step either way.  The moments ``m``, ``v`` and the
     per-entry learning rates ``lr`` are flat vectors over the parameter buffer.
@@ -550,8 +540,7 @@ class Adam:
         scale = 1.0
         for _ in range(60):
             x += delta * scale
-            sign, logdet = np.linalg.slogdet(params.W)
-            if sign != 0.0 and logdet > math.log(_MIN_ABS_DET):
+            if _invertible_slogdet(params.W) is not None:
                 return
             x -= delta * scale
             scale *= 0.5
@@ -570,16 +559,16 @@ def train(
     Records (iteration, train NLL, validation NLL) at iteration 0 and then
     every ``eval_every`` iterations, both over the full splits.  Returns the
     materialized model from the recorded iteration with the lowest validation
-    NLL, plus the history.  A train column with zero variance, which no
-    invertible observation layer can fit, raises ``ValueError`` before the
-    first step.  The input ``trainable`` is not mutated.  Batches
+    NLL, plus the history.  Bad splits raise as ``domcf.ild._labeled_rows``
+    says.  A train column with zero variance, which no invertible
+    observation layer can fit, raises ``ValueError`` before the first step,
+    and a non-finite gradient ``ValueError`` naming its iteration.  The
+    input ``trainable`` is not mutated.  Batches
     are drawn with replacement from a PCG64 stream seeded by ``config.seed``;
     the kink search draws from its own stream.
     """
-    Xtr, dtr = as_sample_arrays(dataset.train)
-    Xval, dval = as_sample_arrays(dataset.val)
-    if len(Xtr) == 0 or len(Xval) == 0:
-        raise ValueError("train and validation splits must be non-empty")
+    Xtr, dtr = _labeled_rows(dataset.train, trainable)
+    Xval, dval = _labeled_rows(dataset.val, trainable)
     flat = np.flatnonzero(np.ptp(Xtr, axis=0) == 0.0)
     if flat.size:
         raise ValueError(f"train column {flat[0] + 1} has zero variance")
@@ -609,6 +598,8 @@ def train(
     for it in range(1, config.iterations + 1):
         idx = rng.integers(0, len(Xtr), size=config.batch_size)
         _nll_grad(work, Xtr[idx], dtr[idx], kink_term=True, out=grads)
+        if not np.isfinite(grads.vec).all():
+            raise ValueError(f"non-finite gradient at iteration {it}")
         decay = (config.iterations - it) / max(config.iterations - 1, 1)
         optimizer.step(work.params, grads, lr_scale=_INITIAL_LR_FACTOR**decay)
         if it % _SEARCH_EVERY == 0 and it < config.iterations:

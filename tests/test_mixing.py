@@ -13,6 +13,9 @@ from domcf import (
     Permute,
     Triangular,
 )
+from domcf import mixing
+from domcf.mixing import _invertible_slogdet
+from domcf.train import Adam, TrainConfig, TrainableILD, _KinkSearch
 from conftest import kink_distance, random_chain, random_dense_layer, random_scm
 
 
@@ -254,6 +257,32 @@ class TestValidation:
     def test_layer_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             LayerChain(3, (random_dense_layer(rng, 4),))
+
+
+class TestInvertibility:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bound_is_an_absolute_determinant_of_1e_minus_12(self):
+        assert _invertible_slogdet(np.diag([1e-12, 1.0])) is None
+        assert _invertible_slogdet(np.zeros((2, 2))) is None
+        assert _invertible_slogdet(np.full((2, 2), np.nan)) is None
+        sign, logabsdet = _invertible_slogdet(np.diag([-2e-12, 1.0]))
+        assert (sign, logabsdet) == (-1.0, np.log(2e-12))
+
+    def test_one_bound_serves_layers_steps_and_the_kink_search(self, monkeypatch):
+        gen = np.random.default_rng(0)
+        X, labels = gen.standard_normal((200, 2)), np.repeat([1, 2], 100)
+        work = TrainableILD.initialize(2, 2, "dense", seed=0)
+        search = _KinkSearch(X, labels, 2, TrainConfig(seed=0))
+        assert not np.array_equal(search._best_row(work.copy(), 0)[0], work.params.W[0])
+
+        monkeypatch.setattr(mixing, "_MIN_ABS_DET", 1e300)  # nothing counts as invertible
+        with pytest.raises(ValueError, match="singular"):
+            AffineDense(np.eye(2), np.zeros(2))
+        with pytest.raises(RuntimeError, match="60 step halvings"):
+            Adam(TrainConfig()).step(work.params, work.params.zeros_like())
+        search = _KinkSearch(X, labels, 2, TrainConfig(seed=0))
+        row, c = search._best_row(work, 0)
+        assert np.array_equal(row, work.params.W[0]) and c == work.params.c[0]
 
 
 class TestLeakyRelu:

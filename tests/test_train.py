@@ -565,6 +565,18 @@ class TestTrain:
             train(t, dataset, TrainConfig(iterations=20, eval_every=10, batch_size=8, seed=0))
         assert steps == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_fails_as_bad_input(self):
+        spec = GroundTruthSpec(2, 2, (2,), n_train=60, n_val=30, n_test=30, seed=3)
+        ds = sample_dataset(generate_ground_truth(spec), spec)
+        huge = MultiDomainDataset(  # squares of these rows overflow to inf
+            train=Split(ds.train.x * 1e200, ds.train.d), val=Split(ds.val.x * 1e200, ds.val.d),
+            test=ds.test, spec=spec, generator_model=None,
+        )
+        t = TrainableILD.initialize(2, 2, "dense", seed=1)
+        with pytest.raises(ValueError, match="non-finite gradient at iteration 1$"):
+            train(t, huge, TrainConfig(iterations=40, eval_every=10, batch_size=16, seed=1))
+
     def test_dense_and_can_full_k_share_trajectories(self, tiny_dataset):
         cfg = TrainConfig(iterations=60, eval_every=20, batch_size=32, seed=9)
         results = []
