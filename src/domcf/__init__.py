@@ -55,7 +55,6 @@ from .mixing import (
     LayerChain,
     LeakyRelu,
     Permute,
-    Triangular,
 )
 from .scm import (
     DEFAULT_INTERVENTION_TOL,
@@ -71,7 +70,6 @@ from .train import (
     TrainConfig,
     TrainableILD,
     nll_gradient,
-    nll_loss,
     train,
 )
 
@@ -96,7 +94,6 @@ __all__ = [
     "Split",
     "TrainConfig",
     "TrainableILD",
-    "Triangular",
     "TriangularityBroken",
     "VariantSpec",
     "as_sample_arrays",
@@ -111,7 +108,6 @@ __all__ = [
     "ground_truth_bound_term",
     "intervention_set",
     "nll_gradient",
-    "nll_loss",
     "oracle_counterfactual_error",
     "run_experiment",
     "sample_dataset",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ild import ILDModel
-from .mixing import Permute, Triangular
+from .mixing import Permute
 from .scm import (
     DEFAULT_INTERVENTION_TOL,
     TRIANGULARITY_TOL,
@@ -137,7 +137,7 @@ def canonicalize(
     F_inv = F_inv @ f1.matrix
     b = (b - f1.b) @ f1.inverse_matrix.T
     F_inv[0], b[0] = np.eye(m), 0.0
-    g = model.g.append_right(Triangular(f1))
+    g = model.g.append_right(f1)
     steps.append("step1: rebased all mechanisms so domain 1 is the identity")
 
     swaps: list[tuple[int, int]] = []
@@ -160,7 +160,7 @@ def canonicalize(
 
     identity_canonical = ILDModel(g, tuple(map(AffineSCM.from_inverse, F_inv, b)))
     restored = map(AffineSCM.from_inverse, F_inv @ f1.inverse_matrix, b @ f1.matrix.T + f1.b)
-    canonical = ILDModel(g.append_right(Triangular(f1.invert())), tuple(restored))
+    canonical = ILDModel(g.append_right(f1.invert()), tuple(restored))
     steps.append("step3: restored domain 1's original mechanism")
 
     final = intervention_set(canonical.scms, tol)

@@ -210,7 +210,7 @@ def cmd_train(args) -> int:
         {
             "model": serialize.model_to_dict(best),
             "variant": variant.label(),
-            "k": trainable.k,
+            "k": trainable.domain_rows,
             "val_nll": val_nll,
             "seed": train_cfg.seed,
         },

@@ -91,7 +91,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[SeedResult]:
         test_nll = dataset_nll(best, dataset.test.x, dataset.test.d)
         cf_error = oracle_counterfactual_error(best, gt, dataset.test)
         rows.append(
-            SeedResult(seed, variant.label(), trainable.k, cf_error, val_nll, test_nll)
+            SeedResult(seed, variant.label(), trainable.domain_rows, cf_error, val_nll, test_nll)
         )
     return rows
 

@@ -8,6 +8,10 @@ action (switch mechanism), and prediction (re-generate):
 
     cf(x, d -> d') = g(f_d'(f_d^{-1}(g^{-1}(x))))
 
+A mechanism is also a chain layer: ``construct_equivalent`` and
+canonicalization compose one into ``g`` by placing the ``AffineSCM`` itself
+in the chain.
+
 Evaluation runs in row blocks.  ``dataset_nll`` is the one likelihood
 kernel: it walks each run of equal labels in blocks of ``_BLOCK_ROWS`` rows
 through the observation chain's stages and keeps only sums.
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import LayerChain, LeakyRelu, Triangular
+from .mixing import LayerChain, LeakyRelu
 from .scm import (
     DEFAULT_INTERVENTION_TOL,
     AffineSCM,
@@ -319,7 +323,7 @@ def construct_equivalent(model: ILDModel, h1: AffineSCM, h2: AffineSCM) -> ILDMo
     """
     if h1.dim != model.dim or h2.dim != model.dim:
         raise DimensionMismatch("h1/h2 dims must match the model")
-    g_new = model.g.append_right(Triangular(h1.invert()))
+    g_new = model.g.append_right(h1.invert())
     scms_new = tuple(compose(h1, compose(f, h2)) for f in model.scms)
     return ILDModel(g_new, scms_new)
 

@@ -3,7 +3,11 @@
 Canonicalization composes the observation function with triangular mechanisms
 and coordinate swaps, so the representation has to be closed under those
 compositions: a chain of primitive invertible layers is the minimal such
-representation.  Layers are applied first-to-last on the forward pass.
+representation.  Layers are applied first-to-last on the forward pass.  The
+layers are ``AffineDense``, ``LeakyRelu``, ``Permute`` and the mechanism
+``AffineSCM`` itself, placed in the chain as it stands: every layer has
+``dim``, ``forward``, ``inverse``, ``log_abs_det(x)``, ``lipschitz_bound`` and
+``invert``.
 
 ``LayerChain.layers`` is the public form (serialization, inversion, the
 Lipschitz bound, canonicalization).  Evaluation walks *stages* instead, built
@@ -175,34 +179,7 @@ class Permute:
         return Permute(tuple(int(i) + 1 for i in self._inv_idx))
 
 
-@dataclass(frozen=True)
-class Triangular:
-    """A triangular affine mechanism used as an invertible layer."""
-
-    scm: AffineSCM
-
-    @property
-    def dim(self) -> int:
-        return self.scm.dim
-
-    def forward(self, x):
-        return self.scm.forward(x)
-
-    def inverse(self, y):
-        return self.scm.inverse(y)
-
-    def log_abs_det(self, x):
-        del x
-        return self.scm.log_abs_det()
-
-    def lipschitz_bound(self) -> float:
-        return float(np.linalg.norm(self.scm.matrix, 2))
-
-    def invert(self) -> Triangular:
-        return Triangular(self.scm.invert())
-
-
-Layer = Union[AffineDense, LeakyRelu, Permute, Triangular]
+Layer = Union[AffineDense, LeakyRelu, Permute, AffineSCM]
 
 
 @dataclass(frozen=True)
@@ -240,8 +217,8 @@ def _affine_map(layer: Layer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(G, b, G^{-1})`` of an affine layer, from the matrices it caches."""
     if isinstance(layer, AffineDense):
         return layer.G, layer.b, layer._G_inv
-    if isinstance(layer, Triangular):
-        return layer.scm.matrix, layer.scm.b, layer.scm.inverse_matrix
+    if isinstance(layer, AffineSCM):
+        return layer.matrix, layer.b, layer.inverse_matrix
     P = np.eye(layer.dim)[layer._idx]
     return P, np.zeros(layer.dim), P.T
 

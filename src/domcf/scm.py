@@ -160,9 +160,14 @@ class AffineSCM:
         """Evaluate ``eps = F^{-1}(z - b)`` with the cached ``F^{-1}``."""
         return (_check_vector(z, self.dim) - self.b) @ self.inverse_matrix.T
 
-    def log_abs_det(self) -> float:
-        """log |det F| = sum(log S); the unit-triangular factor contributes 0."""
+    def log_abs_det(self, x=None) -> float:
+        """log |det F| = sum(log S); ``x``, taken by every chain layer, is ignored."""
+        del x
         return float(np.sum(np.log(self.S)))
+
+    def lipschitz_bound(self) -> float:
+        """Spectral norm of ``F``, the mechanism's Lipschitz constant."""
+        return float(np.linalg.norm(self.matrix, 2))
 
     def invert(self) -> AffineSCM:
         """The mechanism computing ``eps = F^{-1}(z - b)`` as an AffineSCM."""

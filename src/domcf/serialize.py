@@ -4,7 +4,8 @@ Schemas:
 
 * mechanism: ``{"dim": m, "L": [strictly-lower entries, row-major], "S": [...], "b": [...]}``,
   ``L`` a flat list of ``m(m-1)/2`` numbers
-* chain: ``{"dim": m, "layers": [{"kind": "affine"|"leaky_relu"|"permute"|"triangular", ...}]}``
+* chain: ``{"dim": m, "layers": [{"kind": "affine"|"leaky_relu"|"permute"|"triangular", ...}]}``,
+  a mechanism layer (an ``AffineSCM``) as ``{"kind": "triangular", "scm": mechanism}``
 * model bundle: ``{"g": chain, "F": [mechanism, ...]}``
 * dataset CSV: header ``d,x1,...,xm``, one row per sample, 1-based domain labels,
   finite values (a bad row raises ValueError naming its line)
@@ -25,7 +26,7 @@ import numpy as np
 
 from .canonical import CanonicalizationReport
 from .ild import ILDModel, as_sample_arrays
-from .mixing import AffineDense, Layer, LayerChain, LeakyRelu, Permute, Triangular
+from .mixing import AffineDense, Layer, LayerChain, LeakyRelu, Permute
 from .scm import AffineSCM, InterventionSet
 
 
@@ -84,8 +85,8 @@ def layer_to_dict(layer: Layer) -> dict:
         return {"kind": "leaky_relu", "slope": float(layer.slope)}
     if isinstance(layer, Permute):
         return {"kind": "permute", "pi": list(layer.pi)}
-    if isinstance(layer, Triangular):
-        return {"kind": "triangular", "scm": scm_to_dict(layer.scm)}
+    if isinstance(layer, AffineSCM):
+        return {"kind": "triangular", "scm": scm_to_dict(layer)}
     raise TypeError(f"unknown layer type {type(layer)!r}")
 
 
@@ -98,7 +99,7 @@ def layer_from_dict(data: dict) -> Layer:
     if kind == "permute":
         return Permute(tuple(_field(data, "pi")))
     if kind == "triangular":
-        return Triangular(scm_from_dict(_field(data, "scm", dict)))
+        return scm_from_dict(_field(data, "scm", dict))
     raise ValueError(f"unknown layer kind {kind!r}")
 
 

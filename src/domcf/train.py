@@ -24,12 +24,13 @@ domains into one reused buffer; records and the kink search's judge take
 their NLL from ``domcf.ild.dataset_nll``, the blocked evaluation kernel,
 never from the per-row reference ``ILDModel.log_likelihood``.
 
-``nll_gradient`` is the exact reverse-mode gradient of the batch negative
-log-likelihood (the leaky-ReLU derivative at exactly 0 uses the slope-1
-branch).  It is not what training follows: each negative pre-activation adds
-``log s`` to a sample's NLL, so the per-sample NLL jumps where a point crosses
-a kink, and the batch gradient, which treats the count of negative entries as
-constant, is a biased estimate of the gradient of the expected NLL.  Followed
+The batch negative log-likelihood is ``dataset_nll(trainable.materialize(),
+X, labels)``; ``nll_gradient`` is its exact reverse-mode gradient (the
+leaky-ReLU derivative at exactly 0 uses the slope-1 branch).  It is not what
+training follows: each negative pre-activation adds ``log s`` to a sample's
+NLL, so the per-sample NLL jumps where a point crosses a kink, and the batch
+gradient, which treats the count of negative entries as constant, is a
+biased estimate of the gradient of the expected NLL.  Followed
 by Adam it pushes every kink out of the data into a linear-Gaussian fit.  The
 training update adds the kink-crossing term (``_kink_crossing_term``), a
 kernel estimate of each pre-activation's density at 0 times ``-log s``.
@@ -50,7 +51,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .ild import ILDModel, LOG_TWO_PI, _labeled_rows, as_sample_arrays, dataset_nll
+from .ild import ILDModel, LOG_TWO_PI, _labeled_rows, dataset_nll
 from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
 from .scm import AffineSCM
 
@@ -163,10 +164,6 @@ class TrainableILD:
     num_domains: int
     domain_rows: int
     params: ParamSet
-
-    @property
-    def k(self) -> int:
-        return self.domain_rows
 
     @property
     def shared_rows(self) -> int:
@@ -483,20 +480,10 @@ class _KinkSearch:
         return best
 
 
-def nll_loss(trainable: TrainableILD, batch) -> float:
-    """Mean negative log-likelihood of the batch under the materialized model.
-
-    The domain-marginal factor of the joint density is parameter-free and
-    omitted.
-    """
-    return dataset_nll(trainable.materialize(), *as_sample_arrays(batch))
-
-
 def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
-    """Exact gradient of ``nll_loss`` with respect to every free parameter.
-
-    Bad input raises as it does for ``nll_loss`` (``domcf.ild._labeled_rows``).
-    """
+    """Exact gradient of ``dataset_nll(trainable.materialize(), X, labels)``
+    with respect to every free parameter; bad input raises as
+    ``domcf.ild._labeled_rows`` says."""
     return _nll_grad(trainable, *_labeled_rows(batch, trainable))
 
 
@@ -561,11 +548,13 @@ def train(
     materialized model from the recorded iteration with the lowest validation
     NLL, plus the history.  Bad splits raise as ``domcf.ild._labeled_rows``
     says.  A train column with zero variance, which no invertible
-    observation layer can fit, raises ``ValueError`` before the first step,
-    and a non-finite gradient ``ValueError`` naming its iteration.  The
-    input ``trainable`` is not mutated.  Batches
-    are drawn with replacement from a PCG64 stream seeded by ``config.seed``;
-    the kink search draws from its own stream.
+    observation layer can fit, raises ``ValueError`` before the first step.
+    Data too large for float64 raises ``ValueError`` too: a non-finite
+    gradient or an overflowed Adam second moment names its iteration, and a
+    history whose validation NLLs are all non-finite is rejected after the
+    loop.  The input ``trainable`` is not mutated.  Batches are drawn with
+    replacement from a PCG64 stream seeded by ``config.seed``; the kink search
+    draws from its own stream.
     """
     Xtr, dtr = _labeled_rows(dataset.train, trainable)
     Xval, dval = _labeled_rows(dataset.val, trainable)
@@ -602,6 +591,8 @@ def train(
             raise ValueError(f"non-finite gradient at iteration {it}")
         decay = (config.iterations - it) / max(config.iterations - 1, 1)
         optimizer.step(work.params, grads, lr_scale=_INITIAL_LR_FACTOR**decay)
+        if not np.isfinite(optimizer.v).all():  # g**2 overflowed: every step is 0
+            raise ValueError(f"Adam's second moment overflowed at iteration {it}")
         if it % _SEARCH_EVERY == 0 and it < config.iterations:
             search = search or _KinkSearch(Xtr, dtr, work.num_domains, config)
             if search.check(work, it):  # rows of W were rewritten
@@ -609,4 +600,6 @@ def train(
         if it % config.eval_every == 0:
             record(it)
 
+    if not np.isfinite([val for _, _, val in history]).any():
+        raise ValueError("no recorded validation NLL is finite")
     return replace(work, params=best_params).materialize(), history

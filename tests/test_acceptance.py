@@ -30,11 +30,11 @@ from domcf import (
     check_counterfactual_equiv,
     check_distribution_equiv,
     construct_equivalent,
+    dataset_nll,
     dc_distance,
     generate_ground_truth,
     intervention_set,
     nll_gradient,
-    nll_loss,
     sample_dataset,
     train,
 )
@@ -211,8 +211,8 @@ def test_criterion_5_gradient_correctness():
             up[i] += h
             down[i] -= h
             fd[i] = (
-                nll_loss(t.with_free_vector(up), (X, labels))
-                - nll_loss(t.with_free_vector(down), (X, labels))
+                dataset_nll(t.with_free_vector(up).materialize(), X, labels)
+                - dataset_nll(t.with_free_vector(down).materialize(), X, labels)
             ) / (2 * h)
         rel = np.abs(analytic - fd) / np.maximum(
             np.maximum(np.abs(analytic), np.abs(fd)), 1e-3

@@ -121,6 +121,20 @@ class TestCanonicalize:
             canonical.scms[0].matrix, model.scms[0].matrix, atol=1e-12
         )
 
+    def test_mechanisms_enter_the_chain_as_layers(self, rng):
+        model = family_with_intervention(rng, 5, 2, (1, 2))
+        canonical, identity_canonical, report = canonicalize(model)
+        n = len(model.g.layers)
+        assert report.swaps
+        assert identity_canonical.g.layers[-n - 1] is model.scms[0]
+        assert all(a is b for a, b in zip(identity_canonical.g.layers[-n:], model.g.layers))
+        assert canonical.g.layers[1:] == identity_canonical.g.layers
+        restore = canonical.g.layers[0]
+        assert type(restore) is AffineSCM
+        inverse = model.scms[0].invert()
+        for field in ("L", "S", "b"):
+            np.testing.assert_array_equal(getattr(restore, field), getattr(inverse, field))
+
     def test_random_models_with_leading_interventions(self, rng):
         for trial in range(10):
             model = family_with_intervention(rng, 6, 3, (1, 2))

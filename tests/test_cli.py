@@ -171,6 +171,52 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 4
         assert "non-finite gradient at iteration 1" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_second_moment_exits_4(self, dataset_dir, tmp_path, capsys):
+        for name in ("train.csv", "val.csv"):
+            lines = (dataset_dir / name).read_text().splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            scaled = [[row[0]] + [repr(float(v) * 1e150) for v in row[1:]] for row in rows]
+            (dataset_dir / name).write_text(
+                "\n".join([lines[0]] + [",".join(row) for row in scaled]) + "\n"
+            )
+        cfg = tmp_path / "train.json"
+        write_json(
+            cfg,
+            {
+                "dataset_dir": str(dataset_dir),
+                "variant": {"kind": "dense"},
+                "train": {"iterations": 40, "eval_every": 10, "batch_size": 16, "seed": 1},
+                "output_dir": str(tmp_path / "run"),
+            },
+        )
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert "second moment overflowed at iteration 1" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_finite_validation_nll_exits_4(self, dataset_dir, tmp_path, capsys):
+        for name in ("train.csv", "val.csv"):
+            lines = (dataset_dir / name).read_text().splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            scaled = [[row[0]] + [repr(float(v) * 1e200) for v in row[1:]] for row in rows]
+            (dataset_dir / name).write_text(
+                "\n".join([lines[0]] + [",".join(row) for row in scaled]) + "\n"
+            )
+        cfg = tmp_path / "train.json"
+        write_json(
+            cfg,
+            {
+                "dataset_dir": str(dataset_dir),
+                "variant": {"kind": "dense"},
+                "train": {"iterations": 0, "seed": 1},
+                "output_dir": str(tmp_path / "run"),
+            },
+        )
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert "no recorded validation NLL is finite" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = tmp_path / "train.json"
         write_json(

@@ -14,7 +14,6 @@ from domcf import (
     LeakyRelu,
     Permute,
     Split,
-    Triangular,
     as_sample_arrays,
     canonicalize,
     check_counterfactual_equiv,
@@ -124,7 +123,7 @@ def mixed_chain(rng: np.random.Generator, m: int) -> LayerChain:
     """Random chain drawing from every layer type, leaky slopes 0.5 and 2."""
     makers = (
         lambda: Permute(tuple(rng.permutation(m) + 1)),
-        lambda: Triangular(random_scm(rng, m)),
+        lambda: random_scm(rng, m),
         lambda: LeakyRelu(0.5),
         lambda: LeakyRelu(2.0),
         lambda: random_dense_layer(rng, m),

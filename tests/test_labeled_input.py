@@ -21,7 +21,6 @@ from domcf import (
     ground_truth_bound_term,
     intervention_set,
     nll_gradient,
-    nll_loss,
     oracle_counterfactual_error,
     serialize,
     train,
@@ -50,7 +49,6 @@ def _trainable():
 
 ENTRY_POINTS = {
     "dataset_nll": lambda a, b, pts: dataset_nll(a, *pts),
-    "nll_loss": lambda a, b, pts: nll_loss(_trainable(), pts),
     "nll_gradient": lambda a, b, pts: nll_gradient(_trainable(), pts),
     "dc_distance": lambda a, b, pts: dc_distance(a, b, pts, seed=0),
     "check_counterfactual_equiv": lambda a, b, pts: check_counterfactual_equiv(a, b, pts, 1e-8),

@@ -11,7 +11,6 @@ from domcf import (
     LayerChain,
     LeakyRelu,
     Permute,
-    Triangular,
 )
 from domcf import mixing
 from domcf.mixing import _invertible_slogdet
@@ -149,7 +148,7 @@ class TestAppend:
     def test_append_right_is_input_side(self, rng):
         chain = random_chain(rng, 4)
         scm = random_scm(rng, 4)
-        extended = chain.append_right(Triangular(scm))
+        extended = chain.append_right(scm)
         eps = rng.standard_normal(4)
         np.testing.assert_allclose(
             extended.forward(eps), chain.forward(scm.forward(eps)), atol=1e-12
@@ -221,15 +220,18 @@ class TestLipschitz:
         assert chain.lipschitz_upper_bound() >= np.linalg.norm(A @ v1) * (1 - 1e-12)
 
 
-class TestTriangular:
-    def test_evaluates_through_its_mechanism(self, rng):
+class TestMechanismLayer:
+    def test_chain_of_one_mechanism_is_the_mechanism(self, rng):
         for _ in range(10):
             f = random_scm(rng, 5)
-            layer = Triangular(f)
+            chain = LayerChain(5, (f,))
             x = rng.standard_normal((50, 5))
             for v in (x, x[0]):
-                assert np.array_equal(layer.forward(v), f.forward(v))
-                assert np.array_equal(layer.inverse(v), f.inverse(v))
+                assert np.array_equal(chain.forward(v), f.forward(v))
+                assert np.array_equal(chain.inverse(v), f.inverse(v))
+            assert chain.inverse_and_log_det(x[0])[1] == f.log_abs_det(x[0]) == f.log_abs_det()
+            assert chain.lipschitz_upper_bound() == np.linalg.norm(f.matrix, 2)
+            assert np.array_equal(chain.invert().forward(x), f.invert().forward(x))
 
 
 class TestValidation:
@@ -333,7 +335,7 @@ def build_layer(kind: str, gen: np.random.Generator, m: int):
     if kind == "permute":
         return Permute(tuple(gen.permutation(m) + 1))
     if kind == "triangular":
-        return Triangular(random_scm(gen, m))
+        return random_scm(gen, m)
     if kind == "dense":
         return random_dense_layer(gen, m)
     return LeakyRelu(0.5 if kind == "leaky_half" else 2.0)
@@ -347,7 +349,7 @@ class TestStages:
         assert chain.stages[0] is leaky
 
     def test_all_affine_chain_gives_one_stage(self, rng):
-        layers = (Permute((2, 3, 1)), Triangular(random_scm(rng, 3)), random_dense_layer(rng, 3))
+        layers = (Permute((2, 3, 1)), random_scm(rng, 3), random_dense_layer(rng, 3))
         chain = LayerChain(3, layers)
         assert len(chain.stages) == 1
         x = rng.standard_normal((5, 3))

@@ -82,6 +82,26 @@ class TestLogAbsDet:
             assert f.log_abs_det() == pytest.approx(logdet, abs=1e-10)
 
 
+    def test_chain_layer_argument_is_ignored(self, rng):
+        f = random_scm(rng, 5)
+        for x in (None, rng.standard_normal(5), rng.standard_normal((7, 5))):
+            assert f.log_abs_det(x) == f.log_abs_det()
+
+
+class TestLipschitzBound:
+    def test_is_the_spectral_norm_and_bounds_every_pair(self, rng):
+        for _ in range(10):
+            f = random_scm(rng, 5)
+            bound = f.lipschitz_bound()
+            assert bound == pytest.approx(np.linalg.svd(f.matrix, compute_uv=False)[0], rel=1e-12)
+            x, y = rng.standard_normal((2, 200, 5))
+            growth = np.linalg.norm(f.forward(x) - f.forward(y), axis=1)
+            assert np.all(growth <= bound * np.linalg.norm(x - y, axis=1) * (1 + 1e-12))
+
+    def test_identity_is_one(self):
+        assert AffineSCM.identity(4).lipschitz_bound() == pytest.approx(1.0, rel=1e-15)
+
+
 class TestCompose:
     def test_identity_neutral(self, rng):
         f = random_scm(rng, 4)

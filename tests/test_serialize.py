@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domcf import serialize
+from domcf import AffineDense, AffineSCM, ILDModel, LayerChain, LeakyRelu, Permute, serialize
 from domcf.experiment import SeedResult, summarize, write_results_csv
 from conftest import random_chain, random_model, random_scm
 
@@ -72,6 +72,116 @@ class TestChainAndModelJson:
         assert all(set(f) == {"dim", "L", "S", "b"} for f in data["F"])
         kinds = [layer["kind"] for layer in data["g"]["layers"]]
         assert set(kinds) <= {"affine", "leaky_relu", "permute", "triangular"}
+
+
+# ``save_json(model_to_dict(...))`` of ``pinned_model()``, one layer of each
+# kind; the text is fixed so that a refactor of the layer types cannot change it.
+PINNED_MODEL_JSON = """\
+{
+  "g": {
+    "dim": 2,
+    "layers": [
+      {
+        "kind": "affine",
+        "G": [
+          [
+            2.0,
+            0.5
+          ],
+          [
+            0.25,
+            1.0
+          ]
+        ],
+        "b": [
+          0.5,
+          -1.0
+        ]
+      },
+      {
+        "kind": "leaky_relu",
+        "slope": 0.5
+      },
+      {
+        "kind": "permute",
+        "pi": [
+          2,
+          1
+        ]
+      },
+      {
+        "kind": "triangular",
+        "scm": {
+          "dim": 2,
+          "L": [
+            0.5
+          ],
+          "S": [
+            2.0,
+            0.5
+          ],
+          "b": [
+            0.25,
+            -0.75
+          ]
+        }
+      }
+    ]
+  },
+  "F": [
+    {
+      "dim": 2,
+      "L": [
+        -0.5
+      ],
+      "S": [
+        1.0,
+        4.0
+      ],
+      "b": [
+        0.0,
+        1.5
+      ]
+    },
+    {
+      "dim": 2,
+      "L": [
+        0.0
+      ],
+      "S": [
+        1.0,
+        1.0
+      ],
+      "b": [
+        0.0,
+        0.0
+      ]
+    }
+  ]
+}
+"""
+
+
+def pinned_model():
+    g = LayerChain(2, (
+        AffineDense([[2.0, 0.5], [0.25, 1.0]], [0.5, -1.0]),
+        LeakyRelu(0.5),
+        Permute((2, 1)),
+        AffineSCM([[0.0, 0.0], [0.5, 0.0]], [2.0, 0.5], [0.25, -0.75]),
+    ))
+    f1 = AffineSCM([[0.0, 0.0], [-0.5, 0.0]], [1.0, 4.0], [0.0, 1.5])
+    return ILDModel(g, (f1, AffineSCM.identity(2)))
+
+
+def test_model_json_bytes_are_pinned(tmp_path):
+    model = pinned_model()
+    path = tmp_path / "model.json"
+    serialize.save_json(serialize.model_to_dict(model), path)
+    assert path.read_text() == PINNED_MODEL_JSON
+    loaded = serialize.model_from_dict(serialize.load_json(path)).g.layers[3]
+    assert type(loaded) is AffineSCM
+    for field in ("L", "S", "b"):
+        np.testing.assert_array_equal(getattr(loaded, field), getattr(model.g.layers[3], field))
 
 
 def reference_write_dataset_csv(path, x, d):

@@ -16,7 +16,6 @@ from domcf import (
     generate_ground_truth,
     intervention_set,
     nll_gradient,
-    nll_loss,
     sample_dataset,
     train,
 )
@@ -58,14 +57,15 @@ class TestNllLoss:
         t = t.with_free_vector(np.zeros_like(t.free_vector()))
         t.params.W[...] = np.eye(2)
         batch = (np.zeros((4, 2)), np.array([1, 1, 2, 2]))
-        assert nll_loss(t, batch) == pytest.approx(math.log(2 * math.pi))
+        assert dataset_nll(t.materialize(), *batch) == pytest.approx(math.log(2 * math.pi))
 
     def test_can_full_k_equals_dense(self):
         can = perturbed(TrainableILD.initialize(3, 2, "can", k=3, seed=1), seed=2)
         dense = TrainableILD.initialize(3, 2, "dense", seed=1)
         dense = dense.with_free_vector(can.free_vector())
         X, labels = model_batch(can, 20, seed=3)
-        assert nll_loss(can, (X, labels)) == nll_loss(dense, (X, labels))
+        nll_can = dataset_nll(can.materialize(), X, labels)
+        assert nll_can == dataset_nll(dense.materialize(), X, labels)
 
     def test_matches_change_of_variables_reimplementation(self, rng):
         t = perturbed(TrainableILD.initialize(3, 2, "can", k=1, seed=4), seed=5)
@@ -86,12 +86,12 @@ class TestNllLoss:
                 - np.log(abs(np.linalg.det(G)))
             )
             total -= ll
-        assert nll_loss(t, (X, labels)) == pytest.approx(total / len(X), abs=1e-10)
+        assert dataset_nll(t.materialize(), X, labels) == pytest.approx(total / len(X), abs=1e-10)
 
     def test_empty_batch_rejected(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
         with pytest.raises(ValueError):
-            nll_loss(t, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+            dataset_nll(t.materialize(), np.zeros((0, 2)), np.zeros(0, dtype=int))
 
     def test_non_integral_labels_rejected(self):
         model = perturbed(TrainableILD.initialize(2, 2, "dense", seed=0), seed=1).materialize()
@@ -100,7 +100,11 @@ class TestNllLoss:
             dataset_nll(model, X, [1.9, 2.2])
         assert dataset_nll(model, X, [1.0, 2.0]) == dataset_nll(model, X, [1, 2])
 
-    @pytest.mark.parametrize("fn", [nll_loss, nll_gradient])
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda t, batch: dataset_nll(t.materialize(), *batch), nll_gradient],
+        ids=["dataset_nll", "nll_gradient"],
+    )
     def test_out_of_range_label_rejected(self, fn):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
         X = np.random.default_rng(9).standard_normal((6, 2))
@@ -139,8 +143,8 @@ class TestNllGradient:
             up[i] += h
             down[i] -= h
             fd[i] = (
-                nll_loss(t.with_free_vector(up), (X, labels))
-                - nll_loss(t.with_free_vector(down), (X, labels))
+                dataset_nll(t.with_free_vector(up).materialize(), X, labels)
+                - dataset_nll(t.with_free_vector(down).materialize(), X, labels)
             ) / (2 * h)
         rel = np.abs(analytic - fd) / np.maximum(
             np.maximum(np.abs(analytic), np.abs(fd)), 1e-3
@@ -353,7 +357,7 @@ class TestProfileFit:
             atol=1e-10 * np.abs(ref.params.vec).max(),
         )
         assert nll == pytest.approx(ref_nll, rel=1e-10)
-        assert nll == pytest.approx(nll_loss(fitted, (X, labels)), rel=1e-10)
+        assert nll == pytest.approx(dataset_nll(fitted.materialize(), X, labels), rel=1e-10)
         assert np.all(structural_entries(fitted) == 0.0)
 
 
@@ -577,6 +581,30 @@ class TestTrain:
         with pytest.raises(ValueError, match="non-finite gradient at iteration 1$"):
             train(t, huge, TrainConfig(iterations=40, eval_every=10, batch_size=16, seed=1))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_second_moment_fails_as_bad_input(self):
+        spec = GroundTruthSpec(3, 2, (3,), n_train=200, n_val=60, n_test=60, seed=3)
+        ds = sample_dataset(generate_ground_truth(spec), spec)
+        big = MultiDomainDataset(  # finite gradients whose squares overflow
+            train=Split(ds.train.x * 1e150, ds.train.d), val=Split(ds.val.x * 1e150, ds.val.d),
+            test=ds.test, spec=spec, generator_model=None,
+        )
+        t = TrainableILD.initialize(3, 2, "dense", seed=1)
+        with pytest.raises(ValueError, match="second moment overflowed at iteration 1$"):
+            train(t, big, TrainConfig(iterations=40, eval_every=10, batch_size=16, seed=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_finite_validation_nll_is_rejected(self):
+        spec = GroundTruthSpec(2, 2, (2,), n_train=60, n_val=30, n_test=30, seed=3)
+        ds = sample_dataset(generate_ground_truth(spec), spec)
+        huge = MultiDomainDataset(
+            train=Split(ds.train.x * 1e200, ds.train.d), val=Split(ds.val.x * 1e200, ds.val.d),
+            test=ds.test, spec=spec, generator_model=None,
+        )
+        t = TrainableILD.initialize(2, 2, "dense", seed=1)
+        with pytest.raises(ValueError, match="no recorded validation NLL is finite"):
+            train(t, huge, TrainConfig(iterations=0, seed=1))
+
     def test_dense_and_can_full_k_share_trajectories(self, tiny_dataset):
         cfg = TrainConfig(iterations=60, eval_every=20, batch_size=32, seed=9)
         results = []
@@ -659,7 +687,10 @@ class TestKinkCorrectedUpdate:
             up, down = t.copy(), t.copy()
             up.params.c[j] += h
             down.params.c[j] -= h
-            central[j] = (nll_loss(up, (X, labels)) - nll_loss(down, (X, labels))) / (2 * h)
+            central[j] = (
+                dataset_nll(up.materialize(), X, labels)
+                - dataset_nll(down.materialize(), X, labels)
+            ) / (2 * h)
         np.testing.assert_allclose(central, 0.0, atol=0.03)
         np.testing.assert_allclose(mean_c, central, atol=0.1)
 
