@@ -27,10 +27,10 @@ from .datagen import (
     oracle_counterfactual_error,
     sample_dataset,
 )
-from .experiment import ExperimentConfig, VariantSpec, run_experiment, write_results_csv
+from .experiment import ExperimentConfig, run_experiment, write_results_csv
 from .ild import _label_runs, _labeled_rows, dataset_nll, ground_truth_bound_term
 from .scm import DimensionMismatch, intervention_set
-from .train import TrainableILD, TrainConfig, train
+from .train import TrainableILD, TrainConfig, VariantSpec, train
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

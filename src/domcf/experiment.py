@@ -21,29 +21,10 @@ from .datagen import (
 )
 from .ild import dataset_nll
 from .serialize import write_csv
-from .train import TrainableILD, TrainConfig, train
+from .train import TrainableILD, TrainConfig, VariantSpec, train
 
 RESULT_FIELDS = ("seed", "variant", "k", "cf_error", "val_nll", "test_nll")
 _METRICS = RESULT_FIELDS[3:]
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    """One training arm: "can" with a target intervention size, or "dense"."""
-
-    kind: str
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("can", "dense"):
-            raise ValueError(f"variant kind must be 'can' or 'dense', got {self.kind!r}")
-        if self.kind == "can" and (self.k is None or self.k < 0):
-            raise ValueError("'can' needs a non-negative target intervention size k")
-        if self.kind == "dense" and self.k is not None:
-            raise ValueError(f"'dense' takes no k, got k={self.k}")
-
-    def label(self) -> str:
-        return f"can{self.k}" if self.kind == "can" else "dense"
 
 
 @dataclass(frozen=True)

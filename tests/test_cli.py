@@ -149,6 +149,27 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 4
         assert "train column 2 has zero variance" in capsys.readouterr().err
 
+    def test_rank_deficient_train_data_exits_4(self, dataset_dir, tmp_path, capsys):
+        lines = (dataset_dir / "train.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        dependent = [row[:2] + [repr(0.25 - 2.0 * float(row[1]))] for row in rows]
+        (dataset_dir / "train.csv").write_text(
+            "\n".join([lines[0]] + [",".join(row) for row in dependent]) + "\n"
+        )
+        cfg = tmp_path / "train.json"
+        write_json(
+            cfg,
+            {
+                "dataset_dir": str(dataset_dir),
+                "variant": {"kind": "dense"},
+                "train": {"iterations": 40, "eval_every": 10, "batch_size": 16, "seed": 1},
+                "output_dir": str(tmp_path / "run"),
+            },
+        )
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert "train data is rank-deficient" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_train_values_exit_4(self, dataset_dir, tmp_path, capsys):
         for name in ("train.csv", "val.csv"):
@@ -586,3 +607,51 @@ def test_readme_config_examples_build():
     assert len(blocks) == len(parsers)
     for parse, block in zip(parsers, blocks):
         parse(json.loads(block), None)
+
+
+# Runs every model-handling CLI command in one fresh interpreter, then prints
+# the exit codes and the installed distributions other than domcf whose
+# packages the session imported.
+NUMPY_ONLY_SESSION = """
+import sys
+at_start = set(sys.modules)
+import json
+from importlib.metadata import packages_distributions
+from pathlib import Path
+from domcf import cli
+
+tmp = Path(sys.argv[1])
+data, fit = tmp / "data", tmp / "fit"
+gen = {"ground_truth": {"dim": 2, "num_domains": 2, "intervention": [2], "n_train": 60,
+                        "n_val": 30, "n_test": 30, "seed": 3}, "output_dir": str(data)}
+fit_cfg = {"dataset_dir": str(data), "variant": {"kind": "can", "k": 1},
+           "train": {"iterations": 20, "eval_every": 10, "batch_size": 16, "seed": 2},
+           "output_dir": str(fit)}
+(tmp / "gen.json").write_text(json.dumps(gen))
+(tmp / "fit.json").write_text(json.dumps(fit_cfg))
+model = str(fit / "checkpoint.json")
+codes = [
+    cli.main(["generate", "--config", str(tmp / "gen.json")]),
+    cli.main(["train", "--config", str(tmp / "fit.json")]),
+    cli.main(["eval", "--model", model, "--ground-truth", str(data / "ground_truth.json"),
+              "--test", str(data / "test.csv"), "--out", str(tmp / "metrics.json")]),
+    cli.main(["canonicalize", "--model", model, "--out", str(tmp / "canon")]),
+    cli.main(["counterfactual", "--model", model, "--data", str(data / "test.csv"),
+              "--target-domain", "1", "--out", str(tmp / "cf.csv")]),
+]
+owners = packages_distributions()
+imported = {name.partition(".")[0] for name in set(sys.modules) - at_start}
+print(codes, sorted({dist for name in imported for dist in owners.get(name, ())} - {"domcf"}))
+"""
+
+
+def test_cli_session_imports_only_numpy(tmp_path):
+    """numpy is the only runtime dependency: a fresh interpreter that runs
+    every model-handling command loads no other package, so no second BLAS."""
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SESSION, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(README.parent / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] ['numpy']"

@@ -182,6 +182,16 @@ class TestCachedMatrices:
             M = getattr(f, name)
             assert getattr(f, name) is M and not M.flags.writeable
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matrix_is_exactly_triangular_with_diagonal_s(self, rng, m):
+        f = random_scm(rng, m, spread=1.5)
+        F = f.matrix
+        assert F.flags.f_contiguous  # the fast layout for ``eps @ F.T``
+        assert np.array_equal(np.triu(F, k=1), np.zeros((m, m)))
+        assert np.array_equal(np.diag(F), f.S)
+        residual = (np.eye(m) - f.L) @ F - np.diag(f.S)
+        assert np.abs(residual).max() <= 1e-12 * np.abs(F).max()
+
     def test_from_inverse_round_trips(self, rng):
         f = random_scm(rng, 6)
         assert AffineSCM.from_inverse(f.inverse_matrix, f.b).allclose(f, tol=1e-12)

@@ -45,8 +45,9 @@ def test_caller_setting_wins():
 
 @pytest.mark.parametrize("var", ["OMP_NUM_THREADS", "GOTO_NUM_THREADS"])
 def test_other_openblas_variables_win(var):
-    # numpy and scipy each load an OpenBLAS, so compare against the thread
-    # count that OPENBLAS_NUM_THREADS=2 gives rather than a fixed number.
+    # The interpreter may run threads besides OpenBLAS's pool, so compare
+    # against the thread count that OPENBLAS_NUM_THREADS=2 gives rather than
+    # a fixed number.
     two_threads = run_probe(OPENBLAS_NUM_THREADS="2")[1]
     assert int(two_threads) > 1
     assert run_probe(**{var: "2"}) == ["-", two_threads]

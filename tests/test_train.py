@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -380,7 +381,14 @@ class TestParamBuffer:
             t.params.W = np.eye(2)
 
     @pytest.mark.parametrize(
-        "kind, k, match", [("can", 9, r"k=9 .*dim=2"), ("can", -1, r"k=-1"), ("sparse", 1, "kind")]
+        "kind, k, match",
+        [
+            ("can", 9, r"k=9 .*dim=2"),
+            ("can", -1, r"k=-1"),
+            ("sparse", 1, "kind"),
+            ("can", None, r"'can' needs .* got k=None"),
+            ("dense", 2, r"'dense' takes no k, got k=2"),
+        ],
     )
     def test_initialize_rejects_bad_variant(self, kind, k, match):
         with pytest.raises(ValueError, match=match):
@@ -568,6 +576,47 @@ class TestTrain:
         with pytest.raises(ValueError, match="train column 2 has zero variance"):
             train(t, dataset, TrainConfig(iterations=20, eval_every=10, batch_size=8, seed=0))
         assert steps == []
+
+    @staticmethod
+    def _scaled_columns(dependent: bool, column: int, power: int) -> MultiDomainDataset:
+        """A 3-dim, 2-domain dataset, its third train column optionally
+        replaced by ``x1 + 2 x2``, then one column scaled by ``2**power``."""
+        spec = GroundTruthSpec(3, 2, (3,), n_train=400, n_val=60, n_test=60, seed=3)
+        ds = sample_dataset(generate_ground_truth(spec), spec)
+        X = ds.train.x.copy()
+        if dependent:
+            X[:, 2] = X[:, 0] + 2.0 * X[:, 1]
+        X[:, column] *= 2.0**power
+        return replace(ds, train=Split(X, ds.train.d))
+
+    @pytest.mark.parametrize("kind, k", [("dense", None), ("can", 1)])
+    @pytest.mark.parametrize("column, power", [(0, 0), (0, 40), (2, -40), (1, 3)])
+    def test_rank_deficient_train_data_rejected_before_any_step(
+        self, monkeypatch, kind, k, column, power
+    ):
+        steps = []
+        step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda *a, **kw: steps.append(1) or step(*a, **kw))
+        dataset = self._scaled_columns(True, column, power)
+        t = TrainableILD.initialize(3, 2, kind, k, seed=0)
+        with pytest.raises(ValueError, match="train data is rank-deficient"):
+            train(t, dataset, TrainConfig(iterations=20, eval_every=10, batch_size=8, seed=0))
+        assert steps == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_train_value_rejected(self, bad):
+        dataset = self._scaled_columns(False, 0, 0)
+        dataset.train.x[5, 1] = bad
+        t = TrainableILD.initialize(3, 2, "dense", seed=0)
+        with pytest.raises(ValueError, match="train data holds a non-finite value"):
+            train(t, dataset, TrainConfig(iterations=20, eval_every=10, batch_size=8, seed=0))
+
+    @pytest.mark.parametrize("column, power", [(0, 40), (2, -40)])
+    def test_full_rank_train_data_accepted_at_any_column_scale(self, column, power):
+        dataset = self._scaled_columns(False, column, power)
+        t = TrainableILD.initialize(3, 2, "dense", seed=0)
+        _, history = train(t, dataset, TrainConfig(iterations=0, seed=0))
+        assert len(history) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_fails_as_bad_input(self):
