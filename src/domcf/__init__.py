@@ -26,7 +26,6 @@ if not any(
 
 from .canonical import (
     CanonicalizationReport,
-    PreconditionViolated,
     TriangularityBroken,
     canonicalize,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "NonPositiveDiagonal",
     "NotLowerTriangular",
     "Permute",
-    "PreconditionViolated",
     "Split",
     "TrainConfig",
     "TrainableILD",

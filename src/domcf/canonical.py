@@ -33,14 +33,6 @@ from .scm import (
     intervention_set,
 )
 
-# How exactly domain 1 must match the identity before a swap is allowed.
-IDENTITY_TOL = 1e-9
-
-
-class PreconditionViolated(ValueError):
-    """A swap was requested outside the conditions that guarantee closure."""
-
-
 class TriangularityBroken(RuntimeError):
     """A swap left the family non-triangular; indicates a precondition bug."""
 
@@ -67,14 +59,6 @@ def is_canonical(
     return iset.indices == _trailing_block(model.dim, iset.size), iset
 
 
-def _is_identity(f: AffineSCM, tol: float = IDENTITY_TOL) -> bool:
-    return (
-        np.max(np.abs(f.L)) <= tol
-        and np.max(np.abs(f.S - 1.0)) <= tol
-        and np.max(np.abs(f.b)) <= tol
-    )
-
-
 def _swap(g, F_inv: np.ndarray, b: np.ndarray, j: int, j_prime: int):
     """Conjugate every mechanism with the swap of ``j`` and ``j_prime``; extend ``g``."""
     perm = Permute.swap(F_inv.shape[-1], j, j_prime)
@@ -87,33 +71,6 @@ def _swap(g, F_inv: np.ndarray, b: np.ndarray, j: int, j_prime: int):
             f"{upper:.3e} (tolerance {TRIANGULARITY_TOL:.0e}) or a non-positive diagonal"
         )
     return g.append_right(perm), F_inv, b
-
-
-def swap_indices(
-    model: ILDModel, j: int, j_prime: int, tol: float = DEFAULT_INTERVENTION_TOL
-) -> ILDModel:
-    """Exchange coordinates ``j`` and ``j_prime`` (1-based) across the model.
-
-    Requires domain 1 to be the identity, ``j < j_prime``, ``j`` intervened,
-    and no intervened index in ``(j, j_prime]``; under these conditions the
-    conjugated mechanisms are guaranteed to stay lower triangular and the
-    intervention set becomes ``(I \\ {j}) u {j_prime}`` with all domain
-    counterfactuals unchanged.
-    """
-    m = model.dim
-    if not _is_identity(model.scms[0]):
-        raise PreconditionViolated("domain 1 must be the identity mechanism")
-    if not (1 <= j < j_prime <= m):
-        raise PreconditionViolated(f"need 1 <= j < j' <= {m}, got j={j}, j'={j_prime}")
-    F_inv, b = _stack(model.scms)
-    iset = _stacked_intervention_set(F_inv, b, tol)
-    if j not in iset:
-        raise PreconditionViolated(f"j={j} is not in the intervention set {iset.indices}")
-    blocked = [t for t in range(j + 1, j_prime + 1) if t in iset]
-    if blocked:
-        raise PreconditionViolated(f"indices {blocked} in ({j}, {j_prime}] are intervened")
-    g, F_inv, b = _swap(model.g, F_inv, b, j, j_prime)
-    return ILDModel(g, tuple(map(AffineSCM.from_inverse, F_inv, b)))
 
 
 def canonicalize(

@@ -45,6 +45,7 @@ reads each group of mechanism rows off one Cholesky factor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -55,6 +56,8 @@ from .ild import ILDModel, LOG_TWO_PI, _labeled_rows, dataset_nll
 from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
 from .scm import AffineSCM
 
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LEAKY_SLOPE = 0.5
 # SeedSequence tags keeping initialization, batch sampling and the kink search
@@ -84,10 +87,15 @@ class VariantSpec:
     def __post_init__(self):
         if self.kind not in ("can", "dense"):
             raise ValueError(f"variant kind must be 'can' or 'dense', got {self.kind!r}")
-        if self.kind == "can" and (self.k is None or self.k < 0):
-            raise ValueError(f"'can' needs a target intervention size k >= 0, got k={self.k}")
         if self.kind == "dense" and self.k is not None:
             raise ValueError(f"'dense' takes no k, got k={self.k}")
+        if self.kind == "can":
+            integral = isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool)
+            if not integral or self.k < 0:
+                raise ValueError(
+                    f"'can' needs an integer target intervention size k >= 0, got k={self.k}"
+                )
+            object.__setattr__(self, "k", int(self.k))
 
     def label(self) -> str:
         return f"can{self.k}" if self.kind == "can" else "dense"
@@ -99,8 +107,6 @@ class TrainConfig:
 
     learning_rate_g: float = 1e-3
     learning_rate_f: float = 1e-3
-    beta1: float = 0.5
-    beta2: float = 0.999
     batch_size: int = 500
     iterations: int = 50_000
     eval_every: int = 100
@@ -109,8 +115,6 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.learning_rate_g, self.learning_rate_f) <= 0:
             raise ValueError("learning rates must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.batch_size <= 0 or self.eval_every <= 0 or self.iterations < 0:
             raise ValueError("batch_size and eval_every must be positive, iterations >= 0")
 
@@ -201,8 +205,8 @@ class TrainableILD:
         with ``log S = 0``; the output layer starts at ``W = I``, ``c = 0``.
         ``(kind, k)`` must form a ``VariantSpec``, with ``k <= dim``.
         """
-        VariantSpec(kind, k)
-        kk = dim if kind == "dense" else int(k)
+        k = VariantSpec(kind, k).k
+        kk = dim if k is None else k
         if kk > dim:
             raise ValueError(f"k={kk} must lie in [0, dim={dim}]")
         ns = dim - kk
@@ -506,7 +510,8 @@ def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
 
 
 class Adam:
-    """Adam with bias correction and per-group learning rates.
+    """Adam with bias correction, moment decay rates ``ADAM_BETA1`` and
+    ``ADAM_BETA2``, and per-group learning rates.
 
     The observation-layer group (``W``, ``c``) uses ``learning_rate_g``; all
     mechanism parameters use ``learning_rate_f``.  If a step would make the
@@ -533,13 +538,13 @@ class Adam:
             lr.W[...] = lr.c[...] = cfg.learning_rate_g
             self.lr = lr.vec
         self.t += 1
-        c1 = 1.0 - cfg.beta1**self.t
-        c2 = 1.0 - cfg.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         g, m, v, x = grads.vec, self.m, self.v, params.vec
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g**2
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g**2
         delta = -(lr_scale * self.lr) * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
         scale = 1.0
@@ -565,9 +570,10 @@ def train(
     every ``eval_every`` iterations, both over the full splits.  Returns the
     materialized model from the recorded iteration with the lowest validation
     NLL, plus the history.  Bad splits raise as ``domcf.ild._labeled_rows``
-    says.  Before the first step, ``ValueError`` refuses non-finite train
-    values, a zero-variance train column (no invertible observation layer
-    fits it) and rank-deficient train data (the likelihood is unbounded).
+    says, a non-finite value as "train data (or val data) holds a non-finite
+    value".  Before the first step, ``ValueError`` refuses a zero-variance
+    train column (no invertible observation layer fits it) and rank-deficient
+    train data (the likelihood is unbounded).
     Data too large for float64 raises ``ValueError`` too: a non-finite
     gradient or an overflowed Adam second moment names its iteration, and a
     history whose validation NLLs are all non-finite is rejected after the
@@ -575,11 +581,9 @@ def train(
     replacement from a PCG64 stream seeded by ``config.seed``; the kink search
     draws from its own stream.
     """
-    Xtr, dtr = _labeled_rows(dataset.train, trainable)
-    Xval, dval = _labeled_rows(dataset.val, trainable)
+    Xtr, dtr = _labeled_rows(dataset.train, trainable, name="train data")
+    Xval, dval = _labeled_rows(dataset.val, trainable, name="val data")
     hi, lo = Xtr.max(axis=0), Xtr.min(axis=0)
-    if not np.isfinite([hi, lo]).all():
-        raise ValueError("train data holds a non-finite value")
     flat = np.flatnonzero(hi == lo)
     if flat.size:
         raise ValueError(f"train column {flat[0] + 1} has zero variance")

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,14 +7,11 @@ from domcf import (
     AffineSCM,
     ILDModel,
     LayerChain,
-    PreconditionViolated,
     canonicalize,
     check_counterfactual_equiv,
     check_distribution_equiv,
-    compose,
-    intervention_set,
 )
-from domcf.canonical import is_canonical, swap_indices
+from domcf.canonical import is_canonical
 from conftest import family_with_intervention, probe_points, random_scm
 
 
@@ -59,42 +55,6 @@ class TestSwapIndices:
         np.testing.assert_allclose(
             identity_canonical.scms[1].matrix, expected_mid, atol=1e-12
         )
-
-    def test_swap_requires_identity_first_domain(self, rng):
-        model = family_with_intervention(rng, 4, 2, (2,))
-        with pytest.raises(PreconditionViolated):
-            swap_indices(model, 2, 3)
-
-    def test_swap_rejects_non_intervened_source(self, rng):
-        model = family_with_intervention(rng, 4, 2, (2,))
-        rebased = ILDModel(
-            model.g,
-            (AffineSCM.identity(4),)
-            + tuple(compose(model.scms[0].invert(), f) for f in model.scms[1:]),
-        )
-        iset = intervention_set(rebased.scms)
-        free = [j for j in range(1, 5) if j not in iset]
-        with pytest.raises(PreconditionViolated):
-            swap_indices(rebased, free[0], free[-1])
-
-    def test_swap_preserves_counterfactuals(self, rng):
-        model = family_with_intervention(rng, 5, 3, (2,))
-        rebased = ILDModel(
-            model.g,
-            (AffineSCM.identity(5),)
-            + tuple(compose(model.scms[0].invert(), f) for f in model.scms[1:]),
-        )
-        iset = intervention_set(rebased.scms)
-        j = max(iset.indices)
-        free_above = [t for t in range(j + 1, 6) if t not in iset]
-        assert free_above, "fixture should leave room above the intervened index"
-        swapped = swap_indices(rebased, j, free_above[-1])
-        ok, dev = check_counterfactual_equiv(
-            rebased, swapped, probe_points(rebased, 200, seed=3), tol=1e-10
-        )
-        assert ok, dev
-        new_iset = intervention_set(swapped.scms)
-        assert j not in new_iset and free_above[-1] in new_iset
 
 
 class TestCanonicalize:

@@ -294,6 +294,20 @@ class TestEval:
             expected, abs=1e-12
         )
 
+    def test_seed_changes_no_output(self, dataset_dir, tmp_path):
+        outs = [tmp_path / f"metrics_{seed}.json" for seed in (0, 7)]
+        for seed, out in zip((0, 7), outs):
+            assert main([
+                "eval",
+                "--model", str(dataset_dir / "ground_truth.json"),
+                "--ground-truth", str(dataset_dir / "ground_truth.json"),
+                "--test", str(dataset_dir / "test.csv"),
+                "--seed", str(seed),
+                "--out", str(out),
+            ]) == 0
+        assert json.loads(outs[0].read_text())["gt_bound_term"] > 0.0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_earlier_options_do_not_leak_into_later_calls(self, dataset_dir, tmp_path):
         """``main`` reuses one parser: an ``eval`` without ``--val`` after one
         with it scores as a fresh process does, with ``val_nll`` from the
@@ -542,6 +556,7 @@ class TestConfigKeys:
             ("generate", {"ground_truth": {**GT_2D, "n_trian": 5}}, "n_trian"),
             ("train", {"dataset_dir": "absent", "train": {"iteration": 5}}, "iteration"),
             ("train", {"dataset_dir": "absent", "variant": {"kind": "can", "kk": 1}}, "kk"),
+            ("train", {"dataset_dir": "absent", "train": {"beta1": 0.9}}, "beta1"),
             ("experiment", {"ground_truth": {**GT_2D, "sed": 1}, "train": NO_STEPS}, "sed"),
             (
                 "experiment",

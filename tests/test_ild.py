@@ -394,7 +394,7 @@ class TestGroundTruthBoundTerm:
     def test_identical_mechanisms_give_zero(self, rng):
         f = random_scm(rng, 3)
         model = ILDModel(LayerChain(3), (f, f))
-        assert ground_truth_bound_term(model, n_mc=100, seed=0) == 0.0
+        assert ground_truth_bound_term(model) == 0.0
 
     def test_pure_bias_closed_form(self):
         m, c = 3, 0.7
@@ -403,14 +403,13 @@ class TestGroundTruthBoundTerm:
         b[-1] = c
         f2 = AffineSCM(np.zeros((m, m)), np.ones(m), b)
         model = ILDModel(LayerChain(m), (f1, f2))
-        assert ground_truth_bound_term(model, n_mc=500, seed=1) == pytest.approx(
+        assert ground_truth_bound_term(model) == pytest.approx(
             c**2, abs=1e-12
         )
 
     def test_matches_gaussian_closed_form(self, rng):
         model = random_model(rng, 4, 3)
-        n_mc = 100_000
-        estimate = ground_truth_bound_term(model, n_mc=n_mc, seed=3)
+        term = ground_truth_bound_term(model)
 
         k = intervention_set(model.scms).size
         lip = model.g.lipschitz_upper_bound()
@@ -420,24 +419,15 @@ class TestGroundTruthBoundTerm:
             for b in range(model.num_domains)
             if a != b
         ]
-        # per coordinate: difference is N(mu, sigma^2) per ordered pair
+        # per coordinate: difference is N(mu, sigma^2) per ordered pair,
+        # so E[X^2] = mu^2 + sigma^2
         means = np.zeros(model.dim)
-        variances = np.zeros(model.dim)
         for a, b in pairs:
             dF = model.scms[a].matrix - model.scms[b].matrix
             db = model.scms[a].b - model.scms[b].b
-            mu2 = db**2
-            sig2 = np.sum(dF**2, axis=1)
-            means += (mu2 + sig2) / len(pairs)
-            # Var(X^2) = 2 sigma^4 + 4 sigma^2 mu^2 for X ~ N(mu, sigma^2)
-            variances += (
-                2 * sig2**2 + 4 * sig2 * mu2 + (mu2 + sig2) ** 2
-            ) / len(pairs)
-        variances -= means**2  # law of total variance over the pair mixture
-        i_star = int(np.argmax(means))
-        closed = k * lip**2 * means[i_star]
-        stderr = k * lip**2 * math.sqrt(variances[i_star] / n_mc)
-        assert abs(estimate - closed) <= 3 * stderr
+            means += (db**2 + np.sum(dF**2, axis=1)) / len(pairs)
+        closed = k * lip**2 * means.max()
+        assert term == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 class TestSampleArrays:

@@ -14,6 +14,7 @@ from domcf import (
     Split,
     TrainConfig,
     TrainableILD,
+    VariantSpec,
     generate_ground_truth,
     intervention_set,
     nll_gradient,
@@ -388,11 +389,17 @@ class TestParamBuffer:
             ("sparse", 1, "kind"),
             ("can", None, r"'can' needs .* got k=None"),
             ("dense", 2, r"'dense' takes no k, got k=2"),
+            ("can", 1.7, r"'can' needs an integer .* got k=1.7"),
+            ("can", True, r"'can' needs an integer .* got k=True"),
         ],
     )
     def test_initialize_rejects_bad_variant(self, kind, k, match):
         with pytest.raises(ValueError, match=match):
             TrainableILD.initialize(2, 2, kind, k)
+
+    def test_numpy_integer_k_is_stored_as_int(self):
+        spec = VariantSpec("can", np.int64(2))
+        assert type(spec.k) is int and spec.label() == "can2"
 
     def test_wrong_length_rejected(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
