@@ -3,7 +3,8 @@
 Subcommands: generate | train | eval | canonicalize | counterfactual |
 experiment.  Every command is deterministic given its config and seed; reruns
 produce byte-identical files.  Exit codes: 0 success, 2 config error, 3
-missing input, 4 shape/validation error, 1 internal error.
+missing input, 4 shape/validation error (a non-finite eval metric or
+counterfactual included), 1 internal error.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -48,12 +50,10 @@ class MissingInput(Exception):
 
 
 def _load_config(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise MissingInput(f"config file not found: {p}")
+    p = _require_file(path, "config file")
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        return serialize.load_json(p)
+    except ValueError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
 
 
@@ -239,6 +239,9 @@ def cmd_eval(args) -> int:
         "lipschitz_bound": model.g.lipschitz_upper_bound(),
         "gt_bound_term": ground_truth_bound_term(gt),
     }
+    for name, value in metrics.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"metric {name!r} is not finite ({value!r})")
     payload = json.dumps(metrics, indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n")
@@ -277,6 +280,9 @@ def cmd_counterfactual(args) -> int:
     for lo, hi, dom in runs:
         idx = slice(lo, hi) if order is None else order[lo:hi]
         rows[idx] = model.counterfactual(x[idx], dom, target)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the counterfactual of sample {np.argmin(finite) + 1} is not finite")
     serialize.write_dataset_csv(args.out, rows, np.full(len(x), target, dtype=int))
     print(f"wrote {len(x)} counterfactuals into domain {target}: {args.out}")
     return EXIT_OK

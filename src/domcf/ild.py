@@ -107,10 +107,7 @@ class ILDModel:
         if n < 0:
             raise ValueError("sample count must be >= 0")
         rng = np.random.Generator(np.random.PCG64(seed))
-        eps = rng.standard_normal((n, self.dim))
-        if n == 0:
-            return eps
-        return self.g.forward(f.forward(eps))
+        return self.g.forward(f.forward(rng.standard_normal((n, self.dim))))
 
     def log_likelihood(self, x, d: int):
         """Exact log-density of ``x`` under domain ``d`` by change of variables.

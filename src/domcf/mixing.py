@@ -6,15 +6,14 @@ compositions: a chain of primitive invertible layers is the minimal such
 representation.  Layers are applied first-to-last on the forward pass.  The
 layers are ``AffineDense``, ``LeakyRelu``, ``Permute`` and the mechanism
 ``AffineSCM`` itself, placed in the chain as it stands: every layer has
-``dim``, ``forward``, ``inverse``, ``log_abs_det(x)``, ``lipschitz_bound`` and
-``invert``.
+``dim``, ``forward``, ``inverse``, ``log_abs_det(x)`` and ``lipschitz_bound``.
 
-``LayerChain.layers`` is the public form (serialization, inversion, the
-Lipschitz bound, canonicalization).  Evaluation walks *stages* instead, built
-on first use: each maximal run of adjacent affine layers (dense, triangular,
-permutation) is fused into one cached map ``y = G x + b`` with its inverse
-``G^{-1}``, composed from the layers' own cached matrices, and each leaky ReLU
-is a stage of its own.  A leaky ReLU is ``max(x, s x)`` (``min`` for ``s > 1``),
+``LayerChain.layers`` is the public form (serialization, the Lipschitz bound,
+canonicalization).  Evaluation walks *stages* instead, built on first use:
+each maximal run of adjacent affine layers (dense, triangular, permutation) is
+fused into one cached map ``y = G x + b`` with its inverse ``G^{-1}``,
+composed from the layers' own cached matrices, and each leaky ReLU is a stage
+of its own.  A leaky ReLU is ``max(x, s x)`` (``min`` for ``s > 1``),
 which equals the two-branch form bit for bit.
 """
 from __future__ import annotations
@@ -45,7 +44,7 @@ class AffineDense:
 
     ``G^{-1}`` is computed once at construction (``np.linalg.inv``, stored in
     Fortran order, for which OpenBLAS runs ``x @ G^{-1}.T`` about 3x faster on
-    thin batches), so ``inverse`` is one matrix product and ``invert`` reuses it.
+    thin batches), so ``inverse`` is one matrix product.
     """
 
     G: np.ndarray
@@ -85,24 +84,22 @@ class AffineDense:
     def lipschitz_bound(self) -> float:
         return float(np.linalg.norm(self.G, 2))
 
-    def invert(self) -> AffineDense:
-        return AffineDense(self._G_inv, -self._G_inv @ self.b)
-
 
 @dataclass(frozen=True)
 class LeakyRelu:
     """Elementwise ``v -> v if v >= 0 else slope * v``.
 
     The derivative at exactly 0 is taken as 1 (the ``v >= 0`` branch); this is
-    measure-zero but fixed for determinism.  Slopes above 1 are allowed so the
-    layer family is closed under inversion (the inverse has slope ``1/slope``).
+    measure-zero but fixed for determinism.  Any positive slope whose value and
+    reciprocal are finite is accepted, above 1 included, since a model file may
+    hold one.
     """
 
     slope: float
 
     def __post_init__(self):
-        if not self.slope > 0.0:
-            raise ValueError("slope must be positive")
+        if not 0.0 < self.slope < math.inf or math.isinf(1.0 / float(self.slope)):
+            raise ValueError(f"slope must be positive with a finite reciprocal, got {self.slope!r}")
 
     dim = None
 
@@ -129,9 +126,6 @@ class LeakyRelu:
     def lipschitz_bound(self) -> float:
         return max(1.0, self.slope)
 
-    def invert(self) -> LeakyRelu:
-        return LeakyRelu(1.0 / self.slope)
-
 
 @dataclass(frozen=True)
 class Permute:
@@ -141,8 +135,8 @@ class Permute:
 
     def __post_init__(self):
         pi = tuple(int(p) for p in self.pi)
-        if sorted(pi) != list(range(1, len(pi) + 1)):
-            raise ValueError(f"pi must be a permutation of 1..{len(pi)}, got {pi}")
+        if sorted(pi) != list(range(1, len(pi) + 1)) or pi != tuple(self.pi):
+            raise ValueError(f"pi must be a permutation of 1..{len(pi)}, got {tuple(self.pi)}")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_idx", np.asarray(pi, dtype=int) - 1)
         object.__setattr__(self, "_inv_idx", np.argsort(np.asarray(pi) - 1))
@@ -170,9 +164,6 @@ class Permute:
 
     def lipschitz_bound(self) -> float:
         return 1.0
-
-    def invert(self) -> Permute:
-        return Permute(tuple(int(i) + 1 for i in self._inv_idx))
 
 
 Layer = Union[AffineDense, LeakyRelu, Permute, AffineSCM]
@@ -285,17 +276,9 @@ class LayerChain:
             total = total + term
         return v, (float(total) if v.ndim == 1 else total)
 
-    def append(self, layer: Layer) -> LayerChain:
-        """New chain applying ``layer`` after this chain (output side)."""
-        return LayerChain(self.dim, self.layers + (layer,))
-
     def append_right(self, layer: Layer) -> LayerChain:
         """New chain applying ``layer`` before this chain (input side)."""
         return LayerChain(self.dim, (layer,) + self.layers)
-
-    def invert(self) -> LayerChain:
-        """A chain computing the inverse map."""
-        return LayerChain(self.dim, tuple(l.invert() for l in reversed(self.layers)))
 
     def lipschitz_upper_bound(self) -> float:
         """Product of per-layer spectral-norm bounds; >= the true constant."""

@@ -6,7 +6,8 @@ Schemas:
   ``L`` a flat list of ``m(m-1)/2`` numbers
 * chain: ``{"dim": m, "layers": [{"kind": "affine"|"leaky_relu"|"permute"|"triangular", ...}]}``,
   a mechanism layer (an ``AffineSCM``) as ``{"kind": "triangular", "scm": mechanism}``
-* model bundle: ``{"g": chain, "F": [mechanism, ...]}``
+* model bundle: ``{"g": chain, "F": [mechanism, ...]}``; every number a finite int
+  or float (not a bool, a string, ``NaN`` or ``Infinity``), ``dim`` and ``pi`` ints
 * dataset CSV: header ``d,x1,...,xm``, one row per sample, 1-based domain labels,
   finite values (a bad row raises ValueError naming its line)
 * history CSV: header ``iteration,train_nll,val_nll``
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,26 +32,22 @@ from .mixing import AffineDense, Layer, LayerChain, LeakyRelu, Permute
 from .scm import AffineSCM, InterventionSet
 
 
-def _strict_lower_entries(L: np.ndarray) -> list[float]:
-    return L[np.tril_indices(L.shape[0], -1)].tolist()
-
-
-def _strict_lower_matrix(entries: list, m: int) -> np.ndarray:
-    """``L`` from its flat list of ``m(m-1)/2`` strictly-lower entries; any other
-    list (nested, of another length, or holding non-numbers) raises
-    ``ValueError`` naming ``L``."""
-    count = m * (m - 1) // 2
-    if len(entries) != count or not all(type(v) in (int, float) for v in entries):
-        raise ValueError(f"field 'L' must be a flat list of {count} numbers, got {entries!r:.60}")
-    L = np.zeros((m, m))
-    L[np.tril_indices(m, -1)] = entries  # row-major: (1, 0), (2, 0), (2, 1), ...
-    return L
+def _numbers(value, key: str, kinds=(int, float)):
+    """``value`` if it is a JSON number, or a flat list of them, each of an exact
+    type in ``kinds`` (so neither a bool nor a string); otherwise ``ValueError``
+    names the field ``key``."""
+    is_list = type(value) is list
+    if not all(type(v) in kinds for v in (value if is_list else [value])):
+        noun = "integer" if kinds == (int,) else "number"
+        what = f"a flat list of {noun}s" if is_list else f"a JSON {noun}"
+        raise ValueError(f"field {key!r} must be {what}, got {value!r:.60}")
+    return value
 
 
 def scm_to_dict(f: AffineSCM) -> dict:
     return {
         "dim": f.dim,
-        "L": _strict_lower_entries(f.L),
+        "L": f.L[np.tril_indices(f.dim, -1)].tolist(),
         "S": [float(v) for v in f.S],
         "b": [float(v) for v in f.b],
     }
@@ -68,10 +66,16 @@ def _field(data, key: str, kind=list):
 
 
 def scm_from_dict(data: dict) -> AffineSCM:
-    m = int(_field(data, "dim", int))
-    return AffineSCM(
-        _strict_lower_matrix(_field(data, "L"), m), _field(data, "S"), _field(data, "b")
-    )
+    """The mechanism of a JSON object; ``L`` must be a flat list of ``m(m-1)/2``
+    numbers, the strictly-lower entries in row-major order."""
+    m = _numbers(_field(data, "dim", int), "dim", (int,))
+    entries, S, b = (_numbers(_field(data, key), key) for key in ("L", "S", "b"))
+    count = m * (m - 1) // 2
+    if len(entries) != count:
+        raise ValueError(f"field 'L' must be a flat list of {count} numbers, got {entries!r:.60}")
+    L = np.zeros((m, m))
+    L[np.tril_indices(m, -1)] = entries  # row-major: (1, 0), (2, 0), (2, 1), ...
+    return AffineSCM(L, S, b)
 
 
 def layer_to_dict(layer: Layer) -> dict:
@@ -93,11 +97,12 @@ def layer_to_dict(layer: Layer) -> dict:
 def layer_from_dict(data: dict) -> Layer:
     kind = _field(data, "kind", str)
     if kind == "affine":
-        return AffineDense(np.asarray(_field(data, "G"), dtype=float), _field(data, "b"))
+        G = [_numbers(row, "G") for row in _field(data, "G")]
+        return AffineDense(np.asarray(G, dtype=float), _numbers(_field(data, "b"), "b"))
     if kind == "leaky_relu":
-        return LeakyRelu(float(_field(data, "slope", (int, float))))
+        return LeakyRelu(float(_numbers(_field(data, "slope", (int, float)), "slope")))
     if kind == "permute":
-        return Permute(tuple(_field(data, "pi")))
+        return Permute(tuple(_numbers(_field(data, "pi"), "pi", (int,))))
     if kind == "triangular":
         return scm_from_dict(_field(data, "scm", dict))
     raise ValueError(f"unknown layer kind {kind!r}")
@@ -108,9 +113,8 @@ def chain_to_dict(chain: LayerChain) -> dict:
 
 
 def chain_from_dict(data: dict) -> LayerChain:
-    return LayerChain(
-        int(_field(data, "dim", int)), tuple(layer_from_dict(l) for l in _field(data, "layers"))
-    )
+    dim = _numbers(_field(data, "dim", int), "dim", (int,))
+    return LayerChain(dim, tuple(layer_from_dict(l) for l in _field(data, "layers")))
 
 
 def model_to_dict(model: ILDModel) -> dict:
@@ -119,11 +123,8 @@ def model_to_dict(model: ILDModel) -> dict:
 
 def model_from_dict(data: dict) -> ILDModel:
     """The model of a bundle; a missing or mistyped field raises ``ValueError``."""
-    try:
-        g = chain_from_dict(_field(data, "g", dict))
-        return ILDModel(g, tuple(scm_from_dict(f) for f in _field(data, "F")))
-    except TypeError as exc:  # an array entry that is not a number
-        raise ValueError(f"mistyped array entry: {exc}") from None
+    g = chain_from_dict(_field(data, "g", dict))
+    return ILDModel(g, tuple(scm_from_dict(f) for f in _field(data, "F")))
 
 
 def intervention_to_dict(iset: InterventionSet) -> dict:
@@ -143,8 +144,17 @@ def save_json(data: dict, path) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
 
+def _finite_float(text: str) -> float:
+    """A JSON float, or ``NaN``/``Infinity``/``-Infinity``, that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
 
 
 def write_csv(path, header, row_format: str, rows) -> None:
@@ -198,8 +208,3 @@ def _parse_rows(rows: list[list[str]], m: int) -> tuple[np.ndarray, np.ndarray]:
 def write_history_csv(path, history) -> None:
     rows = [(int(it), float(tr), float(va)) for it, tr, va in history]
     write_csv(path, ["iteration", "train_nll", "val_nll"], "%d,%r,%r", rows)
-
-
-def read_history_csv(path) -> list[tuple[int, float, float]]:
-    rows = [line.split(",") for line in Path(path).read_text().split("\n")[1:] if line]
-    return [(int(r[0]), float(r[1]), float(r[2])) for r in rows]

@@ -113,8 +113,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate_g, self.learning_rate_f) <= 0:
-            raise ValueError("learning rates must be positive")
+        if not all(0.0 < lr < math.inf for lr in (self.learning_rate_g, self.learning_rate_f)):
+            raise ValueError("learning rates must be positive and finite")
         if self.batch_size <= 0 or self.eval_every <= 0 or self.iterations < 0:
             raise ValueError("batch_size and eval_every must be positive, iterations >= 0")
 

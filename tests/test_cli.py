@@ -21,6 +21,11 @@ def write_json(path, data):
     path.write_text(json.dumps(data, indent=2))
 
 
+def data_lines(path) -> list[str]:
+    """The lines of a CSV file after its header."""
+    return path.read_text().splitlines()[1:]
+
+
 @pytest.fixture
 def dataset_dir(tmp_path):
     """A tiny generated dataset directory."""
@@ -54,6 +59,15 @@ def demo_model_file(path):
     model = ILDModel(g, (f1, f2))
     serialize.save_json(serialize.model_to_dict(model), path)
     return model
+
+
+def overflowing_demo_input(tmp_path):
+    """The demo model's file and a finite data file whose counterfactuals
+    overflow: from domain 1 into domain 2 the model doubles ``x2``."""
+    model, data = tmp_path / "model.json", tmp_path / "huge.csv"
+    demo_model_file(model)
+    serialize.write_dataset_csv(data, np.full((2, 4), 1e308), np.array([1, 2]))
+    return model, data
 
 
 class TestGenerate:
@@ -111,8 +125,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 0
         checkpoint = json.loads((out / "checkpoint.json").read_text())
         assert set(checkpoint) >= {"model", "variant", "k", "val_nll"}
-        history = serialize.read_history_csv(out / "history.csv")
-        assert len(history) == 1
+        assert len(data_lines(out / "history.csv")) == 1
         assert {f.name for f in out.iterdir()} == {"checkpoint.json", "history.csv"}
 
     def test_history_row_count(self, dataset_dir, tmp_path):
@@ -128,7 +141,7 @@ class TestTrain:
             },
         )
         assert main(["train", "--config", str(cfg)]) == 0
-        assert len(serialize.read_history_csv(out / "history.csv")) == 40 // 10 + 1
+        assert len(data_lines(out / "history.csv")) == 40 // 10 + 1
 
     def test_constant_train_column_exits_4(self, dataset_dir, tmp_path, capsys):
         lines = (dataset_dir / "train.csv").read_text().splitlines()
@@ -268,6 +281,19 @@ class TestEval:
         }
         assert metrics["cf_error"] == 0.0
         assert metrics["intervention_set"]["indices"] == [2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_metric_exits_4(self, tmp_path, capsys):
+        model, data = overflowing_demo_input(tmp_path)
+        out = tmp_path / "metrics.json"
+        code = main(
+            [
+                "eval", "--model", str(model), "--ground-truth", str(model),
+                "--test", str(data), "--out", str(out),
+            ]
+        )
+        assert code == 4 and not out.exists()
+        assert "metric 'cf_error' is not finite" in capsys.readouterr().err
 
     def test_matches_library_oracle(self, dataset_dir, tmp_path, capsys):
         from domcf import oracle_counterfactual_error
@@ -413,6 +439,31 @@ def _nested_lower_entries(bundle):
     return bundle
 
 
+def _infinite_slope(bundle):
+    bundle["g"]["layers"][0]["slope"] = float("inf")  # json.dumps writes Infinity
+    return bundle
+
+
+def _fractional_permutation(bundle):
+    bundle["g"]["layers"].append({"kind": "permute", "pi": [2.7, 1]})  # int() would give (2, 1)
+    return bundle
+
+
+def _string_in_scale(bundle):
+    bundle["F"][0]["S"][0] = repr(bundle["F"][0]["S"][0])
+    return bundle
+
+
+def _string_in_bias(bundle):
+    bundle["g"]["layers"][1]["b"][1] = "3"  # the first affine layer
+    return bundle
+
+
+def _bool_in_dense_matrix(bundle):
+    bundle["g"]["layers"][1]["G"][0][0] = True
+    return bundle
+
+
 class TestMalformedModelFile:
     @pytest.mark.parametrize("command", ["eval", "canonicalize"])
     @pytest.mark.parametrize(
@@ -422,6 +473,11 @@ class TestMalformedModelFile:
             (_without_slope, "'slope'"),
             (_inside_a_list, "list"),
             (_nested_lower_entries, "'L'"),
+            (_infinite_slope, "Infinity"),
+            (_fractional_permutation, "'pi'"),
+            (_string_in_scale, "'S'"),
+            (_string_in_bias, "'b'"),
+            (_bool_in_dense_matrix, "'G'"),
         ],
     )
     def test_exits_4_naming_the_file_and_field(
@@ -441,6 +497,15 @@ class TestMalformedModelFile:
         assert main(args) == 4
         err = capsys.readouterr().err
         assert str(bad) in err and named in err
+
+    def test_boolean_dim_exits_4(self, tmp_path, capsys):
+        f = AffineSCM.identity(1)
+        bundle = serialize.model_to_dict(ILDModel(LayerChain(1), (f, f)))
+        bundle["g"]["dim"] = True  # == 1, so only the type tells it apart
+        bad = tmp_path / "bad_model.json"
+        write_json(bad, bundle)
+        assert main(["canonicalize", "--model", str(bad), "--out", str(tmp_path / "c")]) == 4
+        assert "'dim'" in capsys.readouterr().err
 
 
 class TestCanonicalize:
@@ -487,6 +552,19 @@ class TestCounterfactual:
         x, d = serialize.read_dataset_csv(out)
         assert np.all(d == 2)
         assert len(x) == 60
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_counterfactual_exits_4_writing_nothing(self, tmp_path, capsys):
+        model, data = overflowing_demo_input(tmp_path)
+        out = tmp_path / "cf.csv"
+        code = main(
+            [
+                "counterfactual", "--model", str(model), "--data", str(data),
+                "--target-domain", "2", "--out", str(out),
+            ]
+        )
+        assert code == 4 and not out.exists()
+        assert "counterfactual of sample 1 is not finite" in capsys.readouterr().err
 
     def test_bad_target_domain_exits_4(self, dataset_dir, tmp_path):
         code = main(
@@ -608,6 +686,16 @@ class TestConfigKeys:
                   "train": {"iterations": 0, "batch_size": 16.0}}
         assert self.run(tmp_path, "train", config) == 0
         assert json.loads((tmp_path / "out" / "checkpoint.json").read_text())["k"] == 2
+
+    @pytest.mark.parametrize(
+        "key, literal",
+        [("learning_rate_g", "NaN"), ("learning_rate_g", "Infinity"), ("learning_rate_f", "1e400")],
+    )
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, capsys, key, literal):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dataset_dir": "absent", "train": {"%s": %s}}' % (key, literal))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert literal in capsys.readouterr().err
 
     def test_dense_with_k_exits_2(self, tmp_path, capsys):
         config = {"dataset_dir": "absent", "variant": {"kind": "dense", "k": 99}}

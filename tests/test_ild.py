@@ -315,7 +315,9 @@ class TestEquivalenceChecks:
             [math.cos(theta), -math.sin(theta)],
             [math.sin(theta), math.cos(theta)],
         ]
-        rotated = ILDModel(model.g.append(AffineDense(R, np.zeros(4))), model.scms)
+        rotated = ILDModel(
+            LayerChain(4, model.g.layers + (AffineDense(R, np.zeros(4)),)), model.scms
+        )
         ok, dev = check_distribution_equiv(
             model, rotated, probe_points(model, 50, seed=6), tol=1e-8
         )

@@ -89,14 +89,6 @@ class TestLogAbsDet:
             assert chain.inverse_and_log_det(y)[1] == pytest.approx(logdet, abs=1e-5)
             checked += 1
 
-    def test_inverse_chain_cancels(self, rng):
-        for _ in range(10):
-            chain = random_chain(rng, 5)
-            y = rng.standard_normal(5)
-            x = chain.inverse(y)
-            total = chain.inverse_and_log_det(y)[1] + chain.invert().inverse_and_log_det(x)[1]
-            assert total == pytest.approx(0.0, abs=1e-9)
-
 
 class TestInverseAndLogDet:
     def test_inverse_half_is_inverse(self, rng):
@@ -140,9 +132,9 @@ class TestCachedDenseInverse:
         layer = random_dense_layer(rng, 5)
         # Stored in Fortran order, as the layer stores it: the product below
         # takes a different BLAS path, and may round differently, per layout.
-        want = np.asfortranarray(np.linalg.inv(layer.G))
-        assert np.array_equal(layer.invert().G, want) and layer.invert().G.flags.f_contiguous
-        assert np.array_equal(layer.invert().b, -want @ layer.b)
+        G_inv = np.asfortranarray(np.linalg.inv(layer.G))
+        for y in (rng.standard_normal((50, 5)), rng.standard_normal(5)):
+            assert layer.inverse(y).tobytes() == ((y - layer.b) @ G_inv.T).tobytes()
 
 
 class TestAppend:
@@ -153,15 +145,6 @@ class TestAppend:
         eps = rng.standard_normal(4)
         np.testing.assert_allclose(
             extended.forward(eps), chain.forward(scm.forward(eps)), atol=1e-12
-        )
-
-    def test_append_is_output_side(self, rng):
-        chain = random_chain(rng, 4)
-        layer = random_dense_layer(rng, 4)
-        extended = chain.append(layer)
-        x = rng.standard_normal(4)
-        np.testing.assert_allclose(
-            extended.forward(x), layer.forward(chain.forward(x)), atol=1e-12
         )
 
     def test_swap_layer_reorders_dense_columns(self, rng):
@@ -177,7 +160,8 @@ class TestAppend:
     def test_layer_then_inverse_cancels(self, rng):
         chain = random_chain(rng, 4)
         layer = random_dense_layer(rng, 4)
-        doubled = chain.append_right(layer.invert()).append_right(layer)
+        inverse = AffineDense(np.linalg.inv(layer.G), -np.linalg.solve(layer.G, layer.b))
+        doubled = chain.append_right(inverse).append_right(layer)
         x = rng.standard_normal(4)
         np.testing.assert_allclose(doubled.forward(x), chain.forward(x), atol=1e-12)
 
@@ -232,7 +216,6 @@ class TestMechanismLayer:
                 assert np.array_equal(chain.inverse(v), f.inverse(v))
             assert chain.inverse_and_log_det(x[0])[1] == f.log_abs_det(x[0]) == f.log_abs_det()
             assert chain.lipschitz_upper_bound() == np.linalg.norm(f.matrix, 2)
-            assert np.array_equal(chain.invert().forward(x), f.invert().forward(x))
 
 
 class TestValidation:
@@ -252,10 +235,20 @@ class TestValidation:
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError):
             Permute((1, 1, 3))
+        with pytest.raises(ValueError, match="2.7"):  # not truncated to (2, 1, 3)
+            Permute((2.7, 1, 3))
+        assert Permute((np.int64(2), 1.0, 3)).pi == (2, 1, 3)
 
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(ValueError):
             LeakyRelu(0.0)
+
+    @pytest.mark.parametrize(
+        "slope", [np.inf, np.nan, 5e-324, pytest.param(np.float64(5e-324), id="numpy-5e-324")]
+    )
+    def test_slope_and_its_reciprocal_must_be_finite(self, slope):
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            LeakyRelu(slope)
 
     def test_layer_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):

@@ -439,6 +439,12 @@ class TestParamBuffer:
 
 
 class TestAdam:
+    @pytest.mark.parametrize("key", ["learning_rate_g", "learning_rate_f"])
+    @pytest.mark.parametrize("rate", [0.0, np.nan, np.inf])
+    def test_learning_rates_must_be_positive_and_finite(self, key, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrainConfig(**{key: rate})
+
     def test_zero_gradient_keeps_parameters(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
         before = t.free_vector()
