@@ -24,11 +24,7 @@ if not any(
 ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .canonical import (
-    CanonicalizationReport,
-    TriangularityBroken,
-    canonicalize,
-)
+from .canonical import canonicalize
 from .datagen import (
     GroundTruthSpec,
     MultiDomainDataset,
@@ -50,16 +46,13 @@ from .ild import (
 )
 from .mixing import (
     AffineDense,
-    Layer,
     LayerChain,
     LeakyRelu,
     Permute,
 )
 from .scm import (
-    DEFAULT_INTERVENTION_TOL,
     AffineSCM,
     DimensionMismatch,
-    InterventionSet,
     NonPositiveDiagonal,
     NotLowerTriangular,
     compose,
@@ -75,14 +68,10 @@ from .train import (
 __all__ = [
     "AffineDense",
     "AffineSCM",
-    "CanonicalizationReport",
-    "DEFAULT_INTERVENTION_TOL",
     "DimensionMismatch",
     "ExperimentConfig",
     "GroundTruthSpec",
     "ILDModel",
-    "InterventionSet",
-    "Layer",
     "LayerChain",
     "LeakyRelu",
     "MultiDomainDataset",
@@ -92,7 +81,6 @@ __all__ = [
     "Split",
     "TrainConfig",
     "TrainableILD",
-    "TriangularityBroken",
     "VariantSpec",
     "as_sample_arrays",
     "canonicalize",

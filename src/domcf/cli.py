@@ -31,7 +31,7 @@ from .datagen import (
 )
 from .experiment import ExperimentConfig, run_experiment, write_results_csv
 from .ild import _label_runs, _labeled_rows, dataset_nll, ground_truth_bound_term
-from .scm import DimensionMismatch, intervention_set
+from .scm import intervention_set
 from .train import TrainableILD, TrainConfig, VariantSpec, train
 
 EXIT_OK = 0
@@ -54,7 +54,7 @@ def _load_config(path) -> dict:
     try:
         return serialize.load_json(p)
     except ValueError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
+        raise ConfigError(f"invalid JSON in {exc}") from exc
 
 
 def _require_file(path, what: str) -> Path:
@@ -147,12 +147,12 @@ def _out_dir(config: dict, args) -> Path:
 def _load_model_file(path):
     """A model file is either a bare bundle or a checkpoint wrapping one; a
     malformed one raises ``ValueError`` naming the file."""
+    data = serialize.load_json(path)
+    meta = {}
+    if isinstance(data, dict) and "model" in data:
+        meta = {key: val for key, val in data.items() if key != "model"}
+        data = data["model"]
     try:
-        data = serialize.load_json(path)
-        meta = {}
-        if isinstance(data, dict) and "model" in data:
-            meta = {key: val for key, val in data.items() if key != "model"}
-            data = data["model"]
         return serialize.model_from_dict(data), meta
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -177,10 +177,9 @@ def _load_dataset_dir(dataset_dir) -> MultiDomainDataset:
     root = Path(dataset_dir)
     if not root.exists():
         raise MissingInput(f"dataset directory not found: {root}")
-    for name in ("spec.json", "ground_truth.json", "train.csv", "val.csv", "test.csv"):
+    for name in ("spec.json", "train.csv", "val.csv", "test.csv"):
         _require_file(root / name, name)
     spec = _from_json(GroundTruthSpec, serialize.load_json(root / "spec.json"), "spec.json")
-    gt, _ = _load_model_file(root / "ground_truth.json")
     splits = {}
     for name in ("train", "val", "test"):
         x, d = serialize.read_dataset_csv(root / f"{name}.csv")
@@ -190,7 +189,6 @@ def _load_dataset_dir(dataset_dir) -> MultiDomainDataset:
         val=splits["val"],
         test=splits["test"],
         spec=spec,
-        generator_model=gt,
     )
 
 
@@ -270,10 +268,7 @@ def cmd_counterfactual(args) -> int:
     model, _ = _load_model_file(_require_file(args.model, "model file"))
     x, d = serialize.read_dataset_csv(_require_file(args.data, "data file"))
     target = args.target_domain
-    if not 1 <= target <= model.num_domains:
-        raise DimensionMismatch(
-            f"target domain {target} out of range [1, {model.num_domains}]"
-        )
+    model._scm(target)  # refuses a bad target even when the data file has no rows
     x, d = _labeled_rows((x, d), model)
     order, runs = _label_runs(d)
     rows = np.empty_like(x)
@@ -364,7 +359,7 @@ def main(argv=None) -> int:
     except MissingInput as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (DimensionMismatch, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:  # DimensionMismatch is a ValueError
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
     except Exception as exc:  # pragma: no cover - defensive

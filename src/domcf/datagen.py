@@ -83,13 +83,12 @@ class Split:
 
 @dataclass(frozen=True)
 class MultiDomainDataset:
-    """Train/val/test splits plus the spec and generating model for oracles."""
+    """Train/val/test splits plus the spec they were sampled for."""
 
     train: Split
     val: Split
     test: Split
     spec: GroundTruthSpec
-    generator_model: ILDModel
 
     def __post_init__(self):
         for name, split, count in (
@@ -201,7 +200,6 @@ def sample_dataset(gt: ILDModel, spec: GroundTruthSpec) -> MultiDomainDataset:
         val=_sample_split(gt, spec, "val", spec.n_val),
         test=_sample_split(gt, spec, "test", spec.n_test),
         spec=spec,
-        generator_model=gt,
     )
 
 

@@ -320,8 +320,6 @@ def construct_equivalent(model: ILDModel, h1: AffineSCM, h2: AffineSCM) -> ILDMo
     mechanisms stay in the autoregressive family.  The output preserves all
     domain counterfactuals and the intervention set size.
     """
-    if h1.dim != model.dim or h2.dim != model.dim:
-        raise DimensionMismatch("h1/h2 dims must match the model")
     g_new = model.g.append_right(h1.invert())
     scms_new = tuple(compose(h1, compose(f, h2)) for f in model.scms)
     return ILDModel(g_new, scms_new)

@@ -152,9 +152,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_range_int(text: str) -> int:
+    """A JSON integer that ``float()`` can convert."""
+    if math.isinf(float(text)):
+        raise ValueError(f"{text[:12]}... ({len(text)} digits) is beyond the float range")
+    return int(text)
+
+
 def load_json(path) -> dict:
+    """``path``'s JSON; malformed text or a number beyond the float range (``NaN``
+    and ``Infinity`` included) raises ``ValueError`` naming the file."""
     text = Path(path).read_text()
-    return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    try:
+        return json.loads(text, parse_int=_float_range_int, parse_float=_finite_float,
+                          parse_constant=_finite_float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_csv(path, header, row_format: str, rows) -> None:

@@ -251,6 +251,36 @@ class TestTrain:
         assert "no recorded validation NLL is finite" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.json").exists()
 
+    def test_ground_truth_file_is_not_read(self, dataset_dir, tmp_path):
+        """Training reads only the spec and the splits: without
+        ``ground_truth.json`` it writes the same bytes."""
+        outputs = []
+        for run in ("with", "without"):
+            if run == "without":
+                (dataset_dir / "ground_truth.json").unlink()
+            cfg, out = tmp_path / f"{run}.json", tmp_path / run
+            write_json(
+                cfg,
+                {
+                    "dataset_dir": str(dataset_dir),
+                    "variant": {"kind": "can", "k": 1},
+                    "train": {"iterations": 40, "eval_every": 10, "batch_size": 16, "seed": 1},
+                    "output_dir": str(out),
+                },
+            )
+            assert main(["train", "--config", str(cfg)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("checkpoint.json", "history.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_spec_integer_beyond_float_range_exits_4(self, dataset_dir, tmp_path, capsys):
+        spec = dataset_dir / "spec.json"
+        spec.write_text(re.sub(r'"seed": \d+', '"seed": 1%s' % ("0" * 400), spec.read_text()))
+        cfg = tmp_path / "train.json"
+        write_json(cfg, {"dataset_dir": str(dataset_dir), "output_dir": str(tmp_path / "run")})
+        assert main(["train", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert str(spec) in err and "beyond the float range" in err
+
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = tmp_path / "train.json"
         write_json(
@@ -464,6 +494,16 @@ def _bool_in_dense_matrix(bundle):
     return bundle
 
 
+def _huge_integer_scale(bundle):
+    bundle["F"][0]["S"][0] = 10**400  # a JSON int that float() cannot convert
+    return bundle
+
+
+def _huge_integer_slope(bundle):
+    bundle["g"]["layers"][0]["slope"] = 10**400
+    return bundle
+
+
 class TestMalformedModelFile:
     @pytest.mark.parametrize("command", ["eval", "canonicalize"])
     @pytest.mark.parametrize(
@@ -478,6 +518,8 @@ class TestMalformedModelFile:
             (_string_in_scale, "'S'"),
             (_string_in_bias, "'b'"),
             (_bool_in_dense_matrix, "'G'"),
+            (_huge_integer_scale, "beyond the float range"),
+            (_huge_integer_slope, "beyond the float range"),
         ],
     )
     def test_exits_4_naming_the_file_and_field(
@@ -566,17 +608,23 @@ class TestCounterfactual:
         assert code == 4 and not out.exists()
         assert "counterfactual of sample 1 is not finite" in capsys.readouterr().err
 
-    def test_bad_target_domain_exits_4(self, dataset_dir, tmp_path):
+    @pytest.mark.parametrize("rows", ["all", "none"])
+    def test_bad_target_domain_exits_4(self, dataset_dir, tmp_path, capsys, rows):
+        data = dataset_dir / "test.csv"
+        if rows == "none":
+            data.write_text(data.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "cf.csv"
         code = main(
             [
                 "counterfactual",
                 "--model", str(dataset_dir / "ground_truth.json"),
-                "--data", str(dataset_dir / "test.csv"),
+                "--data", str(data),
                 "--target-domain", "9",
-                "--out", str(tmp_path / "cf.csv"),
+                "--out", str(out),
             ]
         )
-        assert code == 4
+        assert code == 4 and not out.exists()
+        assert "9 out of range [1, 2]" in capsys.readouterr().err
 
 
 class TestExperiment:
@@ -689,13 +737,19 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize(
         "key, literal",
-        [("learning_rate_g", "NaN"), ("learning_rate_g", "Infinity"), ("learning_rate_f", "1e400")],
+        [
+            ("learning_rate_g", "NaN"),
+            ("learning_rate_g", "Infinity"),
+            ("learning_rate_f", "1e400"),
+            pytest.param("learning_rate_g", "1" + "0" * 400, id="learning_rate_g-401-digit-int"),
+        ],
     )
     def test_non_finite_learning_rate_exits_2(self, tmp_path, capsys, key, literal):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"dataset_dir": "absent", "train": {"%s": %s}}' % (key, literal))
         assert main(["train", "--config", str(cfg)]) == 2
-        assert literal in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(cfg) in err and literal[:12] in err  # the message truncates long numbers
 
     def test_dense_with_k_exits_2(self, tmp_path, capsys):
         config = {"dataset_dir": "absent", "variant": {"kind": "dense", "k": 99}}

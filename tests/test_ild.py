@@ -391,6 +391,13 @@ class TestConstructEquivalent:
         assert intervention_set(model.scms).indices == (2,)
         assert intervention_set(built.scms).indices == (2, 3)
 
+    def test_wrong_dimension_raises(self, rng):
+        model, wrong = random_model(rng, 4, 2), random_scm(rng, 3)
+        with pytest.raises(DimensionMismatch):  # from the chain that h1^{-1} joins
+            construct_equivalent(model, wrong, AffineSCM.identity(4))
+        with pytest.raises(DimensionMismatch):  # from composing f_d with h2
+            construct_equivalent(model, AffineSCM.identity(4), wrong)
+
 
 class TestGroundTruthBoundTerm:
     def test_identical_mechanisms_give_zero(self, rng):

@@ -48,12 +48,24 @@ class TestScmJson:
         np.testing.assert_array_equal(back.L, f.L)
 
 
-@pytest.mark.parametrize("text", ["NaN", "[1.0, Infinity]", '{"s": -Infinity}', "[1e400]"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "NaN", "[1.0, Infinity]", '{"s": -Infinity}', "[1e400]",
+        pytest.param("[-1%s]" % ("0" * 400), id="401-digit-int"),
+    ],
+)
 def test_load_json_refuses_non_finite_numbers(tmp_path, text):
     path = tmp_path / "data.json"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="data.json: "):
         serialize.load_json(path)
+
+
+def test_load_json_keeps_integers_within_the_float_range(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text("[%d, 3]" % 10**308)
+    assert serialize.load_json(path) == [10**308, 3]
 
 
 class TestChainAndModelJson:

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from domcf import (
-    AffineSCM,
     GroundTruthSpec,
-    ILDModel,
-    LayerChain,
     MultiDomainDataset,
     Split,
     TrainConfig,
@@ -512,16 +509,9 @@ def tiny_dataset() -> MultiDomainDataset:
         dim=1, num_domains=2, intervention=(1,), n_train=n_train, n_val=n_val,
         n_test=n_test, seed=77,
     )
-    gt = ILDModel(
-        LayerChain(1),
-        (
-            AffineSCM(np.zeros((1, 1)), np.ones(1), np.array([shifts[1]])),
-            AffineSCM(np.zeros((1, 1)), np.ones(1), np.array([shifts[2]])),
-        ),
-    )
     return MultiDomainDataset(
         train=splits["train"], val=splits["val"], test=splits["test"],
-        spec=spec, generator_model=gt,
+        spec=spec,
     )
 
 
@@ -580,7 +570,7 @@ class TestTrain:
         dataset = MultiDomainDataset(
             train=Split(X, d), val=Split(gen.standard_normal((10, 3)), d[::4]),
             test=Split(gen.standard_normal((10, 3)), d[::4]),
-            spec=GroundTruthSpec(3, 2, (3,), 20, 5, 5, 3), generator_model=None,
+            spec=GroundTruthSpec(3, 2, (3,), 20, 5, 5, 3),
         )
         steps = []
         step = Adam.step
@@ -637,7 +627,7 @@ class TestTrain:
         ds = sample_dataset(generate_ground_truth(spec), spec)
         huge = MultiDomainDataset(  # squares of these rows overflow to inf
             train=Split(ds.train.x * 1e200, ds.train.d), val=Split(ds.val.x * 1e200, ds.val.d),
-            test=ds.test, spec=spec, generator_model=None,
+            test=ds.test, spec=spec,
         )
         t = TrainableILD.initialize(2, 2, "dense", seed=1)
         with pytest.raises(ValueError, match="non-finite gradient at iteration 1$"):
@@ -649,7 +639,7 @@ class TestTrain:
         ds = sample_dataset(generate_ground_truth(spec), spec)
         big = MultiDomainDataset(  # finite gradients whose squares overflow
             train=Split(ds.train.x * 1e150, ds.train.d), val=Split(ds.val.x * 1e150, ds.val.d),
-            test=ds.test, spec=spec, generator_model=None,
+            test=ds.test, spec=spec,
         )
         t = TrainableILD.initialize(3, 2, "dense", seed=1)
         with pytest.raises(ValueError, match="second moment overflowed at iteration 1$"):
@@ -661,7 +651,7 @@ class TestTrain:
         ds = sample_dataset(generate_ground_truth(spec), spec)
         huge = MultiDomainDataset(
             train=Split(ds.train.x * 1e200, ds.train.d), val=Split(ds.val.x * 1e200, ds.val.d),
-            test=ds.test, spec=spec, generator_model=None,
+            test=ds.test, spec=spec,
         )
         t = TrainableILD.initialize(2, 2, "dense", seed=1)
         with pytest.raises(ValueError, match="no recorded validation NLL is finite"):
