@@ -270,10 +270,8 @@ def cmd_counterfactual(args) -> int:
     target = args.target_domain
     model._scm(target)  # refuses a bad target even when the data file has no rows
     x, d = _labeled_rows((x, d), model)
-    order, runs = _label_runs(d)
     rows = np.empty_like(x)
-    for lo, hi, dom in runs:
-        idx = slice(lo, hi) if order is None else order[lo:hi]
+    for idx, dom in _label_runs(d):
         rows[idx] = model.counterfactual(x[idx], dom, target)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,10 @@ class GroundTruthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "intervention", tuple(sorted(int(i) for i in self.intervention))
-        )
+        indices = tuple(self.intervention)
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in indices):
+            raise ValueError(f"intervention indices must be integers, got {indices}")
+        object.__setattr__(self, "intervention", tuple(sorted(map(int, indices))))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_domains < 2:
@@ -214,13 +216,12 @@ def oracle_counterfactual_error(estimated: ILDModel, gt: ILDModel, test) -> floa
     """
     X, labels = _labeled_rows(test, estimated, gt)
     nd = gt.num_domains
-    order, runs = _label_runs(labels)
-    missing = set(range(1, nd + 1)).difference(d for _, _, d in runs)
+    runs = _label_runs(labels)
+    missing = set(range(1, nd + 1)).difference(d for _, d in runs)
     if missing:
         raise ValueError(f"test set has no samples for domain {min(missing)}")
     total = 0.0
-    for lo, hi, d in runs:
-        rows = slice(lo, hi) if order is None else order[lo:hi]
+    for rows, d in runs:
         others = tuple(t for t in range(1, nd + 1) if t != d)
         diff = estimated.counterfactuals(X[rows], d, others)
         diff -= gt.counterfactuals(X[rows], d, others)

@@ -54,14 +54,14 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 _BLOCK_ROWS = 4096
 
 
-def _blocks(start: int, stop: int):
-    """``(lo, hi)`` bounds of consecutive row blocks covering ``[start, stop)``.
+def _blocks(n: int):
+    """``(lo, hi)`` bounds of consecutive row blocks covering ``[0, n)``.
 
     A one-row block after others joins the block before it: numpy multiplies a
     single row by a matrix-vector product, whose rounding can differ from the
     matrix-matrix product that the same row gets in a larger batch.
     """
-    bounds = [*range(start, stop, _BLOCK_ROWS), stop]
+    bounds = [*range(0, n, _BLOCK_ROWS), n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return zip(bounds, bounds[1:])
@@ -153,7 +153,7 @@ class ILDModel:
         x = _check_vector(x, self.dim)
         batch = x.reshape(-1, self.dim)
         out = np.empty((len(maps),) + batch.shape)
-        for lo, hi in _blocks(0, len(batch)):
+        for lo, hi in _blocks(len(batch)):
             z = self.g.inverse(batch[lo:hi])
             for cf, (A, c) in zip(out, maps):
                 cf[lo:hi] = self.g.forward(z @ A.T + c)
@@ -216,16 +216,19 @@ def _labeled_rows(points, *models, name: str = "data") -> tuple[np.ndarray, np.n
     return X, labels
 
 
-def _label_runs(keys: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int, int]]]:
-    """``order``, the stable argsort of ``keys`` (``None`` if already sorted), and
-    the ``(lo, hi, key)`` runs of equal keys in ascending order: rows
-    ``order[lo:hi]`` (``lo:hi`` if sorted) hold ``key``, in their original order."""
+def _label_runs(keys: np.ndarray) -> list[tuple[slice | np.ndarray, int]]:
+    """The ``(rows, key)`` runs of equal keys in ascending order of key.
+
+    ``rows`` indexes the run's rows in their original order: a slice when the
+    keys come sorted (so ``X[rows]`` is a view), else the run's part of the
+    stable argsort."""
     order = None
     if np.any(keys[1:] < keys[:-1]):
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
     cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
-    return order, [(lo, hi, int(keys[lo])) for lo, hi in zip(cuts, cuts[1:])]
+    runs = zip(cuts, cuts[1:])
+    return [(slice(lo, hi) if order is None else order[lo:hi], int(keys[lo])) for lo, hi in runs]
 
 
 def dataset_nll(model: ILDModel, X, labels) -> float:
@@ -239,21 +242,20 @@ def dataset_nll(model: ILDModel, X, labels) -> float:
     counts times the constant log-dets.  Bad input raises as in ``_labeled_rows``.
     """
     X, labels = _labeled_rows((X, labels), model)
-    order, runs = _label_runs(labels)
     stages = model.g.stages[::-1]
     const_log_det = sum(sum(s.log_dets) for s in stages if not isinstance(s, LeakyRelu))
     sq_sum = log_det_sum = 0.0
-    for start, stop, d in runs:
-        f = model.scms[d - 1]
-        for lo, hi in _blocks(start, stop):
-            v = X[lo:hi] if order is None else X[order[lo:hi]]
+    for rows, d in _label_runs(labels):
+        f, Xd = model.scms[d - 1], X[rows]
+        for lo, hi in _blocks(len(Xd)):
+            v = Xd[lo:hi]
             for stage in stages:
                 v = stage.inverse(v)
                 if isinstance(stage, LeakyRelu):
                     log_det_sum += int(np.count_nonzero(v < 0.0)) * math.log(stage.slope)
             eps = f.inverse(v)
             sq_sum += float(np.sum(np.square(eps, out=eps)))
-        log_det_sum += (stop - start) * (const_log_det + f.log_abs_det())
+        log_det_sum += len(Xd) * (const_log_det + f.log_abs_det())
     return (0.5 * sq_sum + log_det_sum) / len(X) + 0.5 * model.dim * LOG_TWO_PI
 
 
@@ -268,10 +270,8 @@ def dc_distance(a: ILDModel, b: ILDModel, data, seed: int) -> float:
     X, labels = _labeled_rows(data, a, b)
     rng = np.random.Generator(np.random.PCG64(seed))
     targets = rng.choice(labels, size=len(X), replace=True)
-    order, runs = _label_runs(labels * (a.num_domains + 1) + targets)
     total = 0.0
-    for lo, hi, key in runs:
-        rows = slice(lo, hi) if order is None else order[lo:hi]
+    for rows, key in _label_runs(labels * (a.num_domains + 1) + targets):
         d, d_prime = divmod(key, a.num_domains + 1)
         diff = a.counterfactual(X[rows], d, d_prime) - b.counterfactual(X[rows], d, d_prime)
         total += float(np.sum(diff**2))
@@ -304,10 +304,8 @@ def check_distribution_equiv(
     are continuous and the probes cover the support.
     """
     X, labels = _labeled_rows(points, a, b)
-    order, runs = _label_runs(labels)
     max_dev = 0.0
-    for lo, hi, d in runs:
-        rows = slice(lo, hi) if order is None else order[lo:hi]
+    for rows, d in _label_runs(labels):
         dev = np.abs(a.log_likelihood(X[rows], d) - b.log_likelihood(X[rows], d))
         max_dev = float(np.maximum(max_dev, np.max(dev)))  # keeps a NaN
     return max_dev <= tol, max_dev

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,9 @@ from domcf import (
     check_counterfactual_equiv,
     check_distribution_equiv,
 )
-from domcf.canonical import is_canonical
+import domcf.canonical
+from domcf.canonical import TriangularityBroken, is_canonical
+from domcf.scm import InterventionSet
 from conftest import family_with_intervention, probe_points, random_scm
 
 
@@ -122,6 +125,27 @@ class TestCanonicalize:
         assert any("step1" in s for s in report.steps)
         assert any("step3" in s for s in report.steps)
         assert len([s for s in report.steps if "step2" in s]) == len(report.swaps)
+
+
+class TestGuards:
+    """A wrong detected set is refused, whether it is met before or after the swaps."""
+
+    def test_misdetected_set_breaks_triangularity(self, rng, monkeypatch):
+        model = family_with_intervention(rng, 3, 2, (2,))
+        monkeypatch.setattr(
+            domcf.canonical, "_stacked_intervention_set",
+            lambda F_inv, b, tol: InterventionSet((1,), tol),
+        )
+        with pytest.raises(TriangularityBroken, match=r"swaps \[\(1, 3\)\]"):
+            canonicalize(model)
+
+    def test_final_set_must_be_the_trailing_block(self, rng, monkeypatch):
+        model = family_with_intervention(rng, 3, 2, (1,))
+        monkeypatch.setattr(
+            domcf.canonical, "intervention_set", lambda scms: InterventionSet((2,), 1e-8)
+        )
+        with pytest.raises(RuntimeError, match="not the trailing block"):
+            canonicalize(model)
 
 
 @st.composite

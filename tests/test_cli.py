@@ -758,12 +758,15 @@ class TestConfigKeys:
 
 
 def test_readme_config_examples_build():
-    """The README's generate, train and experiment configs parse as the CLI parses them."""
+    """The README's generate, train and experiment configs parse as the CLI parses
+    them, and the experiment config is the one checked in under ``configs/``."""
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
     parsers = (cli._parse_generate, cli._parse_train, cli._parse_experiment)
     assert len(blocks) == len(parsers)
     for parse, block in zip(parsers, blocks):
         parse(json.loads(block), None)
+    checked_in = README.parent / "configs" / "trend_experiment.json"
+    assert json.loads(checked_in.read_text()) == json.loads(blocks[2])
 
 
 # Runs every model-handling CLI command in one fresh interpreter, then prints

@@ -47,6 +47,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="dim"):
             small_spec(dim=dim, intervention=())
 
+    @pytest.mark.parametrize("intervention", [(1.5, 3), (True,), (np.True_,), (2.0,)])
+    def test_non_integer_intervention_rejected(self, intervention):
+        with pytest.raises(ValueError, match="integers"):
+            small_spec(intervention=intervention)
+
+    def test_numpy_integer_intervention_accepted(self):
+        spec = small_spec(intervention=(np.int64(6), np.int32(2)))
+        assert spec.intervention == (2, 6)
+        assert all(type(i) is int for i in spec.intervention)
+
 
 class TestGenerateGroundTruth:
     def test_deterministic_per_seed(self):

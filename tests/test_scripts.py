@@ -1,5 +1,7 @@
-"""The scripts under ``scripts/``, each run in a fresh interpreter."""
+"""The scripts under ``scripts/`` and the configs under ``configs/``, each run
+in a fresh interpreter."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -20,11 +22,16 @@ def test_canonicalize_demo_preserves_equivalence():
 
 
 def test_trend_experiment_writes_results(tmp_path):
+    config = json.loads((ROOT / "configs" / "trend_experiment.json").read_text())
+    config["n_seeds"] = 2
+    config["train"]["iterations"] = 20
+    config["ground_truth"]["n_train"] = 200
+    (tmp_path / "trend.json").write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = tmp_path / "trend"
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "trend_experiment.py"), "--seeds", "2",
-         "--iterations", "20", "--samples", "200", "--out", str(out)],
+        [sys.executable, "-m", "domcf.cli", "experiment", "--config", str(tmp_path / "trend.json"),
+         "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -34,4 +41,3 @@ def test_trend_experiment_writes_results(tmp_path):
     assert per_seed == [("0", "can2"), ("0", "dense"), ("1", "can2"), ("1", "dense")]
     summary = sorted((row["seed"], row["variant"]) for row in rows if not row["seed"].isdigit())
     assert summary == [(stat, v) for stat in ("mean", "stderr") for v in ("can2", "dense")]
-    assert "sparse variant wins" in done.stdout
