@@ -37,8 +37,9 @@ from .scm import (
     intervention_set,
 )
 
-class TriangularityBroken(RuntimeError):
-    """The swaps left the family non-triangular: the detected set was wrong."""
+class TriangularityBroken(ValueError):
+    """The detected set was wrong for this model: the swaps left the family
+    non-triangular, or its intervention set off the trailing block."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def canonicalize(model: ILDModel) -> tuple[ILDModel, ILDModel, CanonicalizationR
 
     final = intervention_set(canonical.scms)
     if final.indices != _trailing_block(m, original.size):
-        raise RuntimeError(
+        raise TriangularityBroken(
             f"intervention set {original.indices} became {final.indices}, not the "
             "trailing block of its size; detection tolerance too loose for this model"
         )

@@ -89,8 +89,9 @@ def _from_json(cls, data, section: str):
 
 def _coerce(tp, value, where: str):
     """``value`` as the annotated type ``tp``: ``int`` (a boolean or a
-    non-integral number is refused), ``float``, ``X | None``, ``tuple[X, ...]``
-    (from a JSON array) or a nested dataclass."""
+    non-integral number is refused), ``X | None``, ``tuple[X, ...]`` (from a
+    JSON array) or a nested dataclass; any other type (``str``) passes the
+    value through for the dataclass to check."""
     args = typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
         return _from_json(tp, value, where)
@@ -100,11 +101,12 @@ def _coerce(tp, value, where: str):
         return tuple(_coerce(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if args:  # ``X | None``
         return None if value is None else _coerce(args[0], value, where)
+    if tp is not int:
+        return value
     try:
-        non_integral = isinstance(value, float) and not value.is_integer()
-        if tp is int and (isinstance(value, bool) or non_integral):
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"expected an integer, got {json.dumps(value)}")
-        return tp(value) if tp in (int, float) else value
+        return int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
 

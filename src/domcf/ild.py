@@ -170,8 +170,9 @@ def as_sample_arrays(points) -> tuple[np.ndarray, np.ndarray]:
     """Coerce probe points to ``(X, labels)`` arrays.
 
     Accepts an ``(X, labels)`` pair or any object exposing ``x``/``d`` arrays
-    (dataset splits); anything else raises ``ValueError``, as does a label
-    that is not a whole number (``2.0`` is taken as ``2``, ``1.9`` refused).
+    (dataset splits); anything else raises ``ValueError``, as do boolean
+    labels and a label that is not a whole number (``2.0`` is taken as ``2``,
+    ``1.9`` refused).
     """
     if hasattr(points, "x") and hasattr(points, "d"):
         points = (points.x, points.d)
@@ -181,7 +182,9 @@ def as_sample_arrays(points) -> tuple[np.ndarray, np.ndarray]:
         )
     x, d = points
     labels = np.asarray(d)
-    if labels.dtype.kind not in "biu":
+    if labels.dtype.kind == "b":
+        raise ValueError("domain labels must be integers, got booleans")
+    if labels.dtype.kind not in "iu":
         labels = labels.astype(float)
         bad = ~np.isfinite(labels) | (labels != np.trunc(labels))
         if bad.any():

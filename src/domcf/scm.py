@@ -209,34 +209,25 @@ class InterventionSet:
     def size(self) -> int:
         return len(self.indices)
 
-    def __contains__(self, j: int) -> bool:
-        return j in self.indices
 
-    def __iter__(self):
-        return iter(self.indices)
-
-
-def intervention_set(
-    scms, tol: float = DEFAULT_INTERVENTION_TOL
-) -> InterventionSet:
+def intervention_set(scms) -> InterventionSet:
     """Indices (1-based) where some pair of mechanisms has differing inverse rows.
 
     Coordinate ``j`` is intervened iff for some pair (d, d') the j-th row of
     the inverse affine maps differs:
     ``max(||row_j(F_d^-1) - row_j(F_d'^-1)||_inf, |off_j(d) - off_j(d')|) > tol``
-    with ``off = -F^{-1} b``.  Comparing affine parameters is exact for this
-    family; a pointwise oracle is only used in tests.
+    with ``off = -F^{-1} b`` and ``tol = DEFAULT_INTERVENTION_TOL``.  Comparing
+    affine parameters is exact for this family; a pointwise oracle is only used
+    in tests.
     """
     scms = list(scms)
     if len(scms) < 2:
         raise ValueError("need at least two mechanisms")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     m = scms[0].dim
     for f in scms:
         if f.dim != m:
             raise DimensionMismatch("all mechanisms must share one dimension")
-    return _stacked_intervention_set(*_stack(scms), tol)
+    return _stacked_intervention_set(*_stack(scms), DEFAULT_INTERVENTION_TOL)
 
 
 def _stack(scms) -> tuple[np.ndarray, np.ndarray]:

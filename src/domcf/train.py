@@ -35,8 +35,8 @@ by Adam it pushes every kink out of the data into a linear-Gaussian fit.  The
 training update adds the kink-crossing term (``_kink_crossing_term``), a
 kernel estimate of each pre-activation's density at 0 times ``-log s``.
 
-Training departs from the paper's constant-rate Adam in two ways: learning
-rates decay geometrically from 10 times the configured rates to them, and a
+Training departs from the paper's constant-rate Adam in two ways: the one
+step size decays geometrically from 10 times ``LEARNING_RATE`` to it, and a
 kink search (``_KinkSearch``) periodically proposes new directions for dead or
 useless kinks, keeping a proposal only if the training NLL did not rise.
 It scores candidates by a closed-form profile fit (``_profile_fit``) that
@@ -56,6 +56,7 @@ from .ild import ILDModel, LOG_TWO_PI, _labeled_rows, dataset_nll
 from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
 from .scm import AffineSCM
 
+LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.5
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -65,8 +66,8 @@ LEAKY_SLOPE = 0.5
 _INIT_STREAM = 101
 _BATCH_STREAM = 102
 _SEARCH_STREAM = 103
-# Learning rates start at this multiple of the configured ones and decay
-# geometrically to them by the last iteration.
+# The step size starts at this multiple of ``LEARNING_RATE`` and decays
+# geometrically to it by the last iteration.
 _INITIAL_LR_FACTOR = 10.0
 # Kink search: iterations between checks, training rows it scores proposals
 # on, the share of them a kink must keep on each side to count as alive, and
@@ -105,16 +106,12 @@ class VariantSpec:
 class TrainConfig:
     """Optimizer settings; defaults follow the simulated-experiment protocol."""
 
-    learning_rate_g: float = 1e-3
-    learning_rate_f: float = 1e-3
     batch_size: int = 500
     iterations: int = 50_000
     eval_every: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if not all(0.0 < lr < math.inf for lr in (self.learning_rate_g, self.learning_rate_f)):
-            raise ValueError("learning rates must be positive and finite")
         if self.batch_size <= 0 or self.eval_every <= 0 or self.iterations < 0:
             raise ValueError("batch_size and eval_every must be positive, iterations >= 0")
 
@@ -510,33 +507,22 @@ def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
 
 
 class Adam:
-    """Adam with bias correction, moment decay rates ``ADAM_BETA1`` and
-    ``ADAM_BETA2``, and per-group learning rates.
+    """Adam with bias correction and moment decay rates ``ADAM_BETA1`` and
+    ``ADAM_BETA2`` over a parameter buffer of ``size`` entries.
 
-    The observation-layer group (``W``, ``c``) uses ``learning_rate_g``; all
-    mechanism parameters use ``learning_rate_f``.  If a step would make the
-    observation layer numerically non-invertible (``_invertible_slogdet``), the
-    step is rejected and retried at half the learning rate; moments are
-    updated once per step either way.  The moments ``m``, ``v`` and the
-    per-entry learning rates ``lr`` are flat vectors over the parameter buffer.
+    Each ``step`` takes that step's scalar learning rate ``lr``.  If a step
+    would make the observation layer numerically non-invertible
+    (``_invertible_slogdet``), the step is rejected and retried at half the
+    size; moments are updated once per step either way.  The moments ``m``
+    and ``v`` are flat vectors over the parameter buffer.
     """
 
-    def __init__(self, config: TrainConfig):
-        self.config = config
+    def __init__(self, size: int):
         self.t = 0
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-        self.lr: np.ndarray | None = None
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params: ParamSet, grads: ParamSet, lr_scale: float = 1.0) -> None:
-        cfg = self.config
-        if self.m is None:
-            self.m = np.zeros_like(grads.vec)
-            self.v = np.zeros_like(grads.vec)
-            lr = grads.zeros_like()
-            lr.vec[:] = cfg.learning_rate_f
-            lr.W[...] = lr.c[...] = cfg.learning_rate_g
-            self.lr = lr.vec
+    def step(self, params: ParamSet, grads: ParamSet, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
@@ -545,7 +531,7 @@ class Adam:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g**2
-        delta = -(lr_scale * self.lr) * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        delta = -lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
         scale = 1.0
         for _ in range(60):
@@ -563,7 +549,7 @@ def train(
     """Seeded minibatch Adam with validation-based checkpoint selection.
 
     Each step follows the kink-corrected update (see the module docstring) at
-    learning rates decaying from 10 times the configured rates to them; every
+    a step size decaying from 10 times ``LEARNING_RATE`` to it; every
     500 iterations the kink search may replace rows of the observation layer
     (and then restarts Adam's moments).
     Records (iteration, train NLL, validation NLL) at iteration 0 and then
@@ -594,7 +580,7 @@ def train(
         raise ValueError(f"train data is rank-deficient: centered rank {rank} < {trainable.dim}")
 
     work = trainable.copy()
-    optimizer = Adam(config)
+    optimizer = Adam(work.params.vec.size)
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([config.seed, _BATCH_STREAM]))
     )
@@ -621,13 +607,13 @@ def train(
         if not np.isfinite(grads.vec).all():
             raise ValueError(f"non-finite gradient at iteration {it}")
         decay = (config.iterations - it) / max(config.iterations - 1, 1)
-        optimizer.step(work.params, grads, lr_scale=_INITIAL_LR_FACTOR**decay)
+        optimizer.step(work.params, grads, LEARNING_RATE * _INITIAL_LR_FACTOR**decay)
         if not np.isfinite(optimizer.v).all():  # g**2 overflowed: every step is 0
             raise ValueError(f"Adam's second moment overflowed at iteration {it}")
         if it % _SEARCH_EVERY == 0 and it < config.iterations:
             search = search or _KinkSearch(Xtr, dtr, work.num_domains, config)
             if search.check(work, it):  # rows of W were rewritten
-                optimizer = Adam(config)
+                optimizer = Adam(work.params.vec.size)
         if it % config.eval_every == 0:
             record(it)
 

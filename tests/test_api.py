@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names and the fields of its config dataclasses."""
+import dataclasses
+
+import pytest
+
 import domcf
 
 PUBLIC = {
@@ -11,9 +15,24 @@ PUBLIC = {
     "run_experiment", "sample_dataset", "train",
 }
 
+# Every config setting, in declaration order: a new one shows up here as a diff.
+CONFIG_FIELDS = {
+    domcf.TrainConfig: ("batch_size", "iterations", "eval_every", "seed"),
+    domcf.GroundTruthSpec: (
+        "dim", "num_domains", "intervention", "n_train", "n_val", "n_test", "seed",
+    ),
+    domcf.VariantSpec: ("kind", "k"),
+    domcf.ExperimentConfig: ("ground_truth", "variants", "train", "n_seeds"),
+}
+
 
 def test_all_is_the_pinned_public_api():
     assert len(PUBLIC) == 32
     assert sorted(domcf.__all__) == sorted(PUBLIC)  # so no name is listed twice
     for name in domcf.__all__:
         assert hasattr(domcf, name), name
+
+
+@pytest.mark.parametrize("cls", CONFIG_FIELDS, ids=lambda cls: cls.__name__)
+def test_config_fields_are_pinned(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == CONFIG_FIELDS[cls]

@@ -144,7 +144,7 @@ class TestGuards:
         monkeypatch.setattr(
             domcf.canonical, "intervention_set", lambda scms: InterventionSet((2,), 1e-8)
         )
-        with pytest.raises(RuntimeError, match="not the trailing block"):
+        with pytest.raises(TriangularityBroken, match="not the trailing block"):
             canonicalize(model)
 
 

@@ -577,6 +577,21 @@ class TestCanonicalize:
         assert main(["canonicalize", "--model", str(path), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["swaps"] == []
 
+    def test_misdetected_set_exits_4_writing_nothing(self, tmp_path, capsys):
+        # Coordinate 2 differs by 5e-9, below the detection tolerance; swapping
+        # the detected coordinate 1 past it moves that entry above the diagonal.
+        f2 = AffineSCM(
+            np.array([[0.0, 0.0], [5e-9, 0.0]]), np.array([2.0, 1.0]), np.array([1.0, 0.0])
+        )
+        g = LayerChain(2, (AffineDense(np.eye(2), np.zeros(2)),))
+        model = ILDModel(g, (AffineSCM.identity(2), f2))
+        path = tmp_path / "model.json"
+        serialize.save_json(serialize.model_to_dict(model), path)
+        out = tmp_path / "canon"
+        assert main(["canonicalize", "--model", str(path), "--out", str(out)]) == 4
+        assert "broke triangularity" in capsys.readouterr().err
+        assert not (out / "canonical.json").exists()
+
 
 class TestCounterfactual:
     def test_writes_target_domain_rows(self, dataset_dir, tmp_path, capsys):
@@ -683,6 +698,10 @@ class TestConfigKeys:
             ("train", {"dataset_dir": "absent", "train": {"iteration": 5}}, "iteration"),
             ("train", {"dataset_dir": "absent", "variant": {"kind": "can", "kk": 1}}, "kk"),
             ("train", {"dataset_dir": "absent", "train": {"beta1": 0.9}}, "beta1"),
+            *(
+                ("train", {"dataset_dir": "absent", "train": {key: 0.01}}, key)
+                for key in ("learning_rate_g", "learning_rate_f")
+            ),
             ("experiment", {"ground_truth": {**GT_2D, "sed": 1}, "train": NO_STEPS}, "sed"),
             (
                 "experiment",
@@ -738,13 +757,13 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "key, literal",
         [
-            ("learning_rate_g", "NaN"),
-            ("learning_rate_g", "Infinity"),
-            ("learning_rate_f", "1e400"),
-            pytest.param("learning_rate_g", "1" + "0" * 400, id="learning_rate_g-401-digit-int"),
+            ("batch_size", "NaN"),
+            ("batch_size", "Infinity"),
+            ("batch_size", "1e400"),
+            pytest.param("batch_size", "1" + "0" * 400, id="batch_size-401-digit-int"),
         ],
     )
-    def test_non_finite_learning_rate_exits_2(self, tmp_path, capsys, key, literal):
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, literal):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"dataset_dir": "absent", "train": {"%s": %s}}' % (key, literal))
         assert main(["train", "--config", str(cfg)]) == 2

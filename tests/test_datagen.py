@@ -77,7 +77,7 @@ class TestGenerateGroundTruth:
     def test_trailing_intervention_detected_exactly(self):
         for seed in range(5):
             gt = generate_ground_truth(small_spec(seed=seed))
-            assert intervention_set(gt.scms, 1e-8).indices == (5, 6)
+            assert intervention_set(gt.scms).indices == (5, 6)
 
     def test_mixing_determinant_is_one(self):
         gt = generate_ground_truth(small_spec())

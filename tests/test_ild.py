@@ -23,6 +23,7 @@ from domcf import (
     dc_distance,
     ground_truth_bound_term,
     intervention_set,
+    serialize,
 )
 from domcf.ild import _BLOCK_ROWS
 from conftest import (
@@ -454,13 +455,20 @@ class TestSampleArrays:
         with pytest.raises(ValueError):
             dc_distance(model, model, list(x), seed=0)
 
-    def test_non_integral_labels_rejected(self, rng):
+    def test_non_integral_labels_rejected(self, rng, tmp_path):
         x, _ = probe_points(random_model(rng, 3, 2), 2, seed=1)
-        for make in (lambda d: as_sample_arrays((x, d)), lambda d: Split(x, d)):
+        for make in (
+            lambda d: as_sample_arrays((x, d)),
+            lambda d: Split(x, d),
+            lambda d: serialize.write_dataset_csv(tmp_path / "rows.csv", x, d),
+        ):
             with pytest.raises(ValueError, match="labels must be integers, got 1.9"):
                 make([1.9, 2.2])
             with pytest.raises(ValueError, match="labels must be integers, got nan"):
                 make([np.nan, 2.0])
+            with pytest.raises(ValueError, match="labels must be integers, got booleans"):
+                make([True, True])
+        assert not (tmp_path / "rows.csv").exists()
         _, labels = as_sample_arrays((x, np.array([2.0, 1.0])))
         assert labels.dtype == np.int_ and labels.tolist() == [2, 1]
 

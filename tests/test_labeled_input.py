@@ -85,6 +85,9 @@ BAD_INPUTS = {
     "empty": (lambda X, d: (np.zeros((0, M)), np.zeros(0, dtype=int)), ValueError, "non-empty"),
     "nan_value": (lambda X, d: (_with_value(X, np.nan), d), ValueError, "holds a non-finite value"),
     "inf_value": (lambda X, d: (_with_value(X, np.inf), d), ValueError, "holds a non-finite value"),
+    "bool_labels": (
+        lambda X, d: (X, np.ones(len(d), dtype=bool)), ValueError, "domain labels must be integers"
+    ),
 }
 
 

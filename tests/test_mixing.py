@@ -13,7 +13,7 @@ from domcf import (
 )
 from domcf import mixing
 from domcf.mixing import _invertible_slogdet
-from domcf.train import Adam, TrainConfig, TrainableILD, _KinkSearch
+from domcf.train import LEARNING_RATE, Adam, TrainConfig, TrainableILD, _KinkSearch
 from conftest import kink_distance, random_chain, random_dense_layer, random_scm
 
 
@@ -275,7 +275,7 @@ class TestInvertibility:
         with pytest.raises(ValueError, match="singular"):
             AffineDense(np.eye(2), np.zeros(2))
         with pytest.raises(RuntimeError, match="60 step halvings"):
-            Adam(TrainConfig()).step(work.params, work.params.zeros_like())
+            Adam(work.params.vec.size).step(work.params, work.params.zeros_like(), LEARNING_RATE)
         search = _KinkSearch(X, labels, 2, TrainConfig(seed=0))
         row, c = search._best_row(work, 0)
         assert np.array_equal(row, work.params.W[0]) and c == work.params.c[0]

@@ -13,6 +13,7 @@ from domcf import (
     compose,
     intervention_set,
 )
+from domcf.scm import _stack, _stacked_intervention_set
 from conftest import random_scm
 
 ALL_ONES_4 = np.tril(np.ones((4, 4)))
@@ -349,6 +350,10 @@ def test_intervention_set_matches_pairwise_reference(m, nd, seed):
         b = b0 + gen.choice(steps, size=m) * (gen.random(m) < 0.2)
         S = np.where(gen.random(m) < 0.1, 1.5 * S0, S0)
         family.append(AffineSCM(L, S, b))
-    assert intervention_set(family, TOL).indices == pairwise_intervention(family, TOL)
+    assert _stacked_intervention_set(*_stack(family), TOL).indices == pairwise_intervention(
+        family, TOL
+    )
     random_family = [random_scm(gen, m) for _ in range(nd)]
-    assert intervention_set(random_family, TOL).indices == pairwise_intervention(random_family, TOL)
+    assert _stacked_intervention_set(*_stack(random_family), TOL).indices == (
+        pairwise_intervention(random_family, TOL)
+    )
