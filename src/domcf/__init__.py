@@ -58,12 +58,7 @@ from .scm import (
     compose,
     intervention_set,
 )
-from .train import (
-    TrainConfig,
-    TrainableILD,
-    nll_gradient,
-    train,
-)
+from .train import TrainConfig, TrainableILD, nll_gradient
 
 __all__ = [
     "AffineDense",
@@ -97,5 +92,4 @@ __all__ = [
     "oracle_counterfactual_error",
     "run_experiment",
     "sample_dataset",
-    "train",
 ]

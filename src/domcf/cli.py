@@ -138,12 +138,12 @@ def _parse_experiment(config, seed: int | None) -> ExperimentConfig:
 
 
 def _out_dir(config: dict, args) -> Path:
+    """The output directory, resolved before any work; each command creates it
+    only once its computation has succeeded, so a refused run leaves none."""
     out = args.out or config.get("output_dir")
     if not out:
         raise ConfigError("no output directory (set output_dir in config or pass --out)")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def _load_model_file(path):
@@ -166,6 +166,7 @@ def cmd_generate(args) -> int:
     out = _out_dir(config, args)
     gt = generate_ground_truth(spec)
     dataset = sample_dataset(gt, spec)
+    out.mkdir(parents=True, exist_ok=True)
     serialize.save_json(serialize.model_to_dict(gt), out / "ground_truth.json")
     serialize.save_json(dataclasses.asdict(spec), out / "spec.json")
     for name in ("train", "val", "test"):
@@ -206,6 +207,7 @@ def cmd_train(args) -> int:
     )
     best, history = train(trainable, dataset, train_cfg)
     val_nll = min(rec[2] for rec in history)
+    out.mkdir(parents=True, exist_ok=True)
     serialize.save_json(
         {
             "model": serialize.model_to_dict(best),
@@ -251,9 +253,9 @@ def cmd_eval(args) -> int:
 
 def cmd_canonicalize(args) -> int:
     model, _ = _load_model_file(_require_file(args.model, "model file"))
+    canonical, identity_canonical, report = canonicalize(model)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    canonical, identity_canonical, report = canonicalize(model)
     serialize.save_json(serialize.model_to_dict(canonical), out / "canonical.json")
     serialize.save_json(
         serialize.model_to_dict(identity_canonical), out / "identity_canonical.json"
@@ -288,6 +290,7 @@ def cmd_experiment(args) -> int:
     exp = _parse_experiment(config, args.seed)
     out = _out_dir(config, args)
     rows, summary = run_experiment(exp)
+    out.mkdir(parents=True, exist_ok=True)
     write_results_csv(out / "results.csv", rows, summary)
     print(f"wrote {len(rows)} result rows to {out / 'results.csv'}")
     for variant, entry in summary.items():

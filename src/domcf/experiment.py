@@ -29,7 +29,11 @@ _METRICS = RESULT_FIELDS[3:]
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one aggregate run needs; ``ground_truth.seed`` is the base seed."""
+    """Everything one aggregate run needs; ``ground_truth.seed`` is the base seed.
+
+    Each seed's fits train with that seed in place of ``train.seed``, so
+    ``train.seed`` must keep its default 0.
+    """
 
     ground_truth: GroundTruthSpec
     variants: tuple[VariantSpec, ...] = (VariantSpec("can", 2), VariantSpec("dense"))
@@ -42,6 +46,11 @@ class ExperimentConfig:
             raise ValueError("n_seeds must be >= 1")
         if not self.variants:
             raise ValueError("need at least one variant")
+        if self.train.seed != 0:
+            raise ValueError(
+                f"train.seed={self.train.seed} would be ignored: each fit trains with its "
+                "ground-truth seed (set ground_truth.seed instead)"
+            )
         for v in self.variants:
             if v.kind == "can" and v.k > self.ground_truth.dim:
                 raise ValueError(f"variant k={v.k} exceeds dim {self.ground_truth.dim}")

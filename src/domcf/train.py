@@ -16,9 +16,11 @@ the whole training pass is solver-free and the gradient of the quadratic term
 never passes through an inverted matrix, which keeps its variance moderate
 even when the fitted mixing is badly conditioned.
 
-Every trainable parameter lives in one contiguous float64 buffer
-(``ParamSet``) with read-only named views; the gradient has the same layout,
-and Adam updates the whole buffer with a few vector operations.  A training
+A ``TrainableILD`` holds every trainable parameter in one contiguous float64
+buffer (``t.vec``) behind fixed named views (``t.W``, ``t.c``, ...); a
+gradient is a ``TrainableILD`` of the same layout, and Adam updates the whole
+buffer with a few vector operations.  The kink search saves and restores that
+buffer in place, and ``train`` keeps its best checkpoint as a copy.  A training
 step computes only a gradient (``_nll_grad``), in one stacked pass over all
 domains into one reused buffer; records and the kink search's judge take
 their NLL from ``domcf.ild.dataset_nll``, the blocked evaluation kernel,
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 
@@ -116,17 +118,21 @@ class TrainConfig:
             raise ValueError("batch_size and eval_every must be positive, iterations >= 0")
 
 
-class ParamSet:
-    """All free parameters of one trainable model in one contiguous float64 buffer.
+class TrainableILD:
+    """Parameterized model with hard row sharing across domains.
 
-    ``vec`` is the buffer; ``W``, ``c``, ``shared_L``, ``shared_logS``,
-    ``shared_b``, ``dom_L``, ``dom_logS`` and ``dom_b`` are fixed views of
-    it, in that order.  A view cannot be rebound (``p.W = ...`` raises
-    ``AttributeError``); write through it in place (``p.W[...] = ...``).
-    ``W`` and ``c`` parameterize the observation layer in the inverse
-    direction (``u = W x + c``).  Entries of ``shared_L`` and ``dom_L`` on or
-    above the diagonal of the full ``L`` are structural zeros: training keeps
-    them at 0 and ``TrainableILD.mechanism_arrays`` masks them out.
+    ``domain_rows`` is the number of trailing mechanism rows that carry
+    per-domain parameters: the target intervention size for "can" and the full
+    dimension for "dense".  Every free parameter lives in one contiguous
+    float64 buffer ``vec`` (zeros when not given); ``W``, ``c``,
+    ``shared_L``, ``shared_logS``, ``shared_b``, ``dom_L``, ``dom_logS`` and
+    ``dom_b`` are fixed views of it, in that order.  A view cannot be rebound
+    (``t.W = ...`` raises ``AttributeError``); write through it in place
+    (``t.W[...] = ...``).  ``W`` and ``c`` parameterize the observation layer
+    in the inverse direction (``u = W x + c``).  Entries of ``shared_L`` and
+    ``dom_L`` on or above the diagonal of the full ``L`` are structural zeros:
+    training keeps them at 0 and ``mechanism_arrays`` masks them out.  A
+    gradient is a ``TrainableILD`` with the same layout.
     """
 
     def __init__(
@@ -146,9 +152,9 @@ class ParamSet:
         ends = list(accumulate(math.prod(shape) for shape in shapes))
         if vec is None:
             vec = np.zeros(ends[-1])
-        elif vec.shape != (ends[-1],):
-            raise ValueError(f"expected {ends[-1]} entries, got shape {vec.shape}")
-        self._layout = (dim, num_domains, domain_rows)
+        elif vec.shape != (ends[-1],) or vec.dtype != np.float64:
+            raise ValueError(f"expected {ends[-1]} float64 entries, got {vec.dtype} {vec.shape}")
+        self.dim, self.num_domains, self.domain_rows = dim, num_domains, domain_rows
         self._vec = vec
         self._views = tuple(
             vec[end - math.prod(shape) : end].reshape(shape) for end, shape in zip(ends, shapes)
@@ -163,27 +169,6 @@ class ParamSet:
     dom_L = property(lambda self: self._views[5])
     dom_logS = property(lambda self: self._views[6])
     dom_b = property(lambda self: self._views[7])
-
-    def copy(self) -> ParamSet:
-        return ParamSet(*self._layout, self._vec.copy())
-
-    def zeros_like(self) -> ParamSet:
-        return ParamSet(*self._layout)
-
-
-@dataclass
-class TrainableILD:
-    """Parameterized model with hard row sharing across domains.
-
-    ``domain_rows`` is the number of trailing mechanism rows that carry
-    per-domain parameters: the target intervention size for "can" and the full
-    dimension for "dense".
-    """
-
-    dim: int
-    num_domains: int
-    domain_rows: int
-    params: ParamSet
 
     @property
     def shared_rows(self) -> int:
@@ -211,16 +196,19 @@ class TrainableILD:
         strict = np.tril(np.ones((dim, dim)), k=-1)
         L_all = rng.standard_normal((num_domains, dim, dim)) * 0.1 * strict
         b_all = rng.standard_normal((num_domains, dim)) * 0.1
-        params = ParamSet(dim, num_domains, kk)
-        params.W[...] = np.eye(dim)
-        params.shared_L[...] = L_all[0, :ns]
-        params.shared_b[...] = b_all[0, :ns]
-        params.dom_L[...] = L_all[:, ns:]
-        params.dom_b[...] = b_all[:, ns:]
-        return cls(dim, num_domains, kk, params)
+        t = cls(dim, num_domains, kk)
+        t.W[...] = np.eye(dim)
+        t.shared_L[...] = L_all[0, :ns]
+        t.shared_b[...] = b_all[0, :ns]
+        t.dom_L[...] = L_all[:, ns:]
+        t.dom_b[...] = b_all[:, ns:]
+        return t
 
     def copy(self) -> TrainableILD:
-        return replace(self, params=self.params.copy())
+        return TrainableILD(self.dim, self.num_domains, self.domain_rows, self._vec.copy())
+
+    def zeros_like(self) -> TrainableILD:
+        return TrainableILD(self.dim, self.num_domains, self.domain_rows)
 
     @cached_property
     def _strict(self) -> np.ndarray:
@@ -229,11 +217,11 @@ class TrainableILD:
 
     def mechanism_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every domain's full ``(L, logS, b)``, stacked along a leading domain axis."""
-        p, ns = self.params, self.shared_rows
+        ns = self.shared_rows
         L = np.empty((self.num_domains, self.dim, self.dim))
         logS, b = np.empty((2, self.num_domains, self.dim))
-        L[:, :ns], logS[:, :ns], b[:, :ns] = p.shared_L, p.shared_logS, p.shared_b
-        L[:, ns:], logS[:, ns:], b[:, ns:] = p.dom_L, p.dom_logS, p.dom_b
+        L[:, :ns], logS[:, :ns], b[:, :ns] = self.shared_L, self.shared_logS, self.shared_b
+        L[:, ns:], logS[:, ns:], b[:, ns:] = self.dom_L, self.dom_logS, self.dom_b
         L *= self._strict
         return L, logS, b
 
@@ -241,18 +229,9 @@ class TrainableILD:
         """The current parameters as an immutable model."""
         L, logS, b = self.mechanism_arrays()
         scms = tuple(map(AffineSCM, L, np.exp(logS), b))
-        G = np.linalg.inv(self.params.W)
-        mix = (LeakyRelu(LEAKY_SLOPE), AffineDense(G, -G @ self.params.c))
+        G = np.linalg.inv(self.W)
+        mix = (LeakyRelu(LEAKY_SLOPE), AffineDense(G, -G @ self.c))
         return ILDModel(LayerChain(self.dim, mix), scms)
-
-    def free_vector(self) -> np.ndarray:
-        """A copy of the parameter buffer."""
-        return self.params.vec.copy()
-
-    def with_free_vector(self, vec: np.ndarray) -> TrainableILD:
-        """A copy of the model with ``vec`` loaded as its parameter buffer."""
-        vec = np.array(vec, dtype=float)
-        return replace(self, params=ParamSet(self.dim, self.num_domains, self.domain_rows, vec))
 
 
 def _kink_crossing_term(U: np.ndarray) -> np.ndarray:
@@ -282,8 +261,8 @@ def _nll_grad(
     X: np.ndarray,
     labels: np.ndarray,
     kink_term: bool = False,
-    out: ParamSet | None = None,
-) -> ParamSet:
+    out: TrainableILD | None = None,
+) -> TrainableILD:
     """Gradient of the batch's mean negative log-likelihood.
 
     Works entirely in the inverse direction: ``u = W x + c``, so
@@ -297,12 +276,11 @@ def _nll_grad(
     fresh buffer when ``None``) is overwritten, so one buffer serves all steps.
     A singular ``W`` raises ``LinAlgError``.
     """
-    p = trainable.params
     m, nd, ns = trainable.dim, trainable.num_domains, trainable.shared_rows
     n, s = X.shape[0], LEAKY_SLOPE
-    grads = p.zeros_like() if out is None else out
+    grads = trainable.zeros_like() if out is None else out
 
-    U = X @ p.W.T + p.c
+    U = X @ trainable.W.T + trainable.c
     Z = LeakyRelu(s).inverse(U)
     ones = np.ones(n)
     onehot = (labels[:, None] == np.arange(1, nd + 1)).astype(float)
@@ -338,7 +316,7 @@ def _nll_grad(
     dU *= np.where(U < 0.0, 1.0 / s, 1.0)
     if kink_term:
         dU += _kink_crossing_term(U)
-    grads.W[...] = dU.T @ X - n * np.linalg.inv(p.W).T
+    grads.W[...] = dU.T @ X - n * np.linalg.inv(trainable.W).T
     grads.c[...] = ones @ dU
     grads.vec[...] /= n
     return grads
@@ -364,10 +342,9 @@ def _profile_fit(
     the order within each group).  Returns the refitted copy and its mean NLL
     on ``(X, labels)``, whose mechanism part is ``sum(count * log S) / n``.
     """
-    p = trainable.params
     m, nd, ns = trainable.dim, trainable.num_domains, trainable.shared_rows
     n = X.shape[0]
-    U = X @ p.W.T + p.c
+    U = X @ trainable.W.T + trainable.c
     Z1 = np.hstack([np.ones((n, 1)), LeakyRelu(LEAKY_SLOPE).inverse(U)])
     groups = [Z1[labels == d0 + 1] for d0 in range(nd)]
     counts = np.array([len(g) for g in groups])
@@ -386,8 +363,7 @@ def _profile_fit(
         shared = min(combinations(range(m), ns), key=variation)
         perm = np.array(list(shared) + [j for j in range(m) if j not in shared])
     out = trainable.copy()
-    q = out.params
-    q.W[...], q.c[...] = p.W[perm], p.c[perm]
+    out.W[...], out.c[...] = trainable.W[perm], trainable.c[perm]
     order = np.concatenate([[0], perm + 1])
     moments = moments[:, order][:, :, order]
     pooled = pooled[np.ix_(order, order)]
@@ -401,13 +377,13 @@ def _profile_fit(
     L = np.tril(np.eye(m) - S[:, :, None] * F_inv, k=-1)
     b = np.linalg.solve(F_inv, -T[:, :, :1])[:, :, 0]
     logS = np.log(S)
-    q.shared_L[...], q.shared_logS[...], q.shared_b[...] = L[0, :ns], logS[0, :ns], b[0, :ns]
-    q.dom_L[...], q.dom_logS[...], q.dom_b[...] = L[:, ns:], logS[:, ns:], b[:, ns:]
+    out.shared_L[...], out.shared_logS[...], out.shared_b[...] = L[0, :ns], logS[0, :ns], b[0, :ns]
+    out.dom_L[...], out.dom_logS[...], out.dom_b[...] = L[:, ns:], logS[:, ns:], b[:, ns:]
     nll = (
         0.5 * m * (LOG_TWO_PI + 1.0)
         + counts @ logS.sum(axis=1) / n
         + math.log(LEAKY_SLOPE) * np.count_nonzero(U < 0.0) / n
-        - np.linalg.slogdet(q.W)[1]
+        - np.linalg.slogdet(out.W)[1]
     )
     return out, nll
 
@@ -421,8 +397,9 @@ class _KinkSearch:
     that explain little.  Each check first judges the pending proposal: it is
     kept if the mean NLL on a fixed training subsample (``dataset_nll``, the
     records' evaluator) did not rise since it was made, otherwise the
-    parameters are restored and the wait before the next proposal doubles.  A proposal replaces the row of ``(W, c)`` of every
-    dead kink, or if none is dead the kink whose removal costs the least
+    parameter buffer is restored in place and the wait before the next
+    proposal doubles.  A proposal replaces the row of ``(W, c)`` of every dead
+    kink, or if none is dead the kink whose removal costs the least
     profile NLL, by the candidate with the lowest profile NLL
     (``_profile_fit``) among random directions in whitened coordinates, each
     with the kink at the median and either orientation.  The rows are
@@ -447,7 +424,7 @@ class _KinkSearch:
         # The closed-form refit needs more rows than regressors in every domain.
         if np.bincount(self.labels, minlength=num_domains + 1)[1:].min() <= m + 1:
             self.last_proposal = -1
-        self.pending: tuple[ParamSet, float] | None = None
+        self.pending: tuple[np.ndarray, float] | None = None
 
     def check(self, work: TrainableILD, iteration: int) -> bool:
         """Judge the pending proposal, maybe propose; True if ``work`` changed."""
@@ -455,22 +432,22 @@ class _KinkSearch:
             before, nll_before = self.pending
             self.pending = None
             if dataset_nll(work.materialize(), self.X, self.labels) > nll_before:
-                work.params = before
+                work.vec[...] = before
                 self.wait *= 2
                 self.next_proposal = iteration + self.wait
                 return True
             self.wait = _SEARCH_EVERY
         if not self.next_proposal <= iteration <= self.last_proposal:
             return False
-        U = self.X @ work.params.W.T + work.params.c
+        U = self.X @ work.W.T + work.c
         share = np.mean(U < 0.0, axis=0)
         rows = np.flatnonzero((share < _DEAD_SHARE) | (share > 1.0 - _DEAD_SHARE))
         if rows.size == 0:
             rows = [self._least_useful_row(work, U)]
-        self.pending = (work.params.copy(), dataset_nll(work.materialize(), self.X, self.labels))
+        self.pending = (work.vec.copy(), dataset_nll(work.materialize(), self.X, self.labels))
         for j in rows:
-            work.params.W[j], work.params.c[j] = self._best_row(work, j)
-        work.params = _profile_fit(work, self.X, self.labels, choose_rows=True)[0].params
+            work.W[j], work.c[j] = self._best_row(work, j)
+        work.vec[...] = _profile_fit(work, self.X, self.labels, choose_rows=True)[0].vec
         return True
 
     def _least_useful_row(self, work: TrainableILD, U: np.ndarray) -> int:
@@ -478,20 +455,20 @@ class _KinkSearch:
         costs = []
         for j in range(work.dim):
             trial = work.copy()
-            trial.params.c[j] -= U[:, j].min() - 1.0
+            trial.c[j] -= U[:, j].min() - 1.0
             costs.append(_profile_fit(trial, self.X, self.labels)[1])
         return int(np.argmin(costs))
 
     def _best_row(self, work: TrainableILD, j: int) -> tuple[np.ndarray, float]:
         """The candidate ``(W_j, c_j)`` with the lowest profile NLL."""
-        best, best_nll = (work.params.W[j].copy(), float(work.params.c[j])), math.inf
+        best, best_nll = (work.W[j].copy(), float(work.c[j])), math.inf
         trial = work.copy()
         for direction in self.rng.standard_normal((_CANDIDATES, work.dim)):
             row = (direction / np.linalg.norm(direction)) @ self.white
             kink = float(np.median(self.X @ row))
             for sign in (1.0, -1.0):
-                trial.params.W[j], trial.params.c[j] = sign * row, -sign * kink
-                if _invertible_slogdet(trial.params.W) is None:
+                trial.W[j], trial.c[j] = sign * row, -sign * kink
+                if _invertible_slogdet(trial.W) is None:
                     continue
                 nll = _profile_fit(trial, self.X, self.labels)[1]
                 if nll < best_nll:
@@ -499,7 +476,7 @@ class _KinkSearch:
         return best
 
 
-def nll_gradient(trainable: TrainableILD, batch) -> ParamSet:
+def nll_gradient(trainable: TrainableILD, batch) -> TrainableILD:
     """Exact gradient of ``dataset_nll(trainable.materialize(), X, labels)``
     with respect to every free parameter; bad input raises as
     ``domcf.ild._labeled_rows`` says."""
@@ -522,7 +499,7 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
 
-    def step(self, params: ParamSet, grads: ParamSet, lr: float) -> None:
+    def step(self, params: TrainableILD, grads: TrainableILD, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
@@ -580,26 +557,26 @@ def train(
         raise ValueError(f"train data is rank-deficient: centered rank {rank} < {trainable.dim}")
 
     work = trainable.copy()
-    optimizer = Adam(work.params.vec.size)
+    optimizer = Adam(work.vec.size)
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([config.seed, _BATCH_STREAM]))
     )
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
-    best_params = work.params.copy()
+    best = work.copy()
 
     def record(iteration: int) -> None:
-        nonlocal best_val, best_params
+        nonlocal best_val, best
         model = work.materialize()
         train_nll = dataset_nll(model, Xtr, dtr)
         val_nll = dataset_nll(model, Xval, dval)
         history.append((iteration, train_nll, val_nll))
         if val_nll < best_val:
             best_val = val_nll
-            best_params = work.params.copy()
+            best = work.copy()
 
     search = None
-    grads = work.params.zeros_like()
+    grads = work.zeros_like()
     record(0)
     for it in range(1, config.iterations + 1):
         idx = rng.integers(0, len(Xtr), size=config.batch_size)
@@ -607,16 +584,16 @@ def train(
         if not np.isfinite(grads.vec).all():
             raise ValueError(f"non-finite gradient at iteration {it}")
         decay = (config.iterations - it) / max(config.iterations - 1, 1)
-        optimizer.step(work.params, grads, LEARNING_RATE * _INITIAL_LR_FACTOR**decay)
+        optimizer.step(work, grads, LEARNING_RATE * _INITIAL_LR_FACTOR**decay)
         if not np.isfinite(optimizer.v).all():  # g**2 overflowed: every step is 0
             raise ValueError(f"Adam's second moment overflowed at iteration {it}")
         if it % _SEARCH_EVERY == 0 and it < config.iterations:
             search = search or _KinkSearch(Xtr, dtr, work.num_domains, config)
             if search.check(work, it):  # rows of W were rewritten
-                optimizer = Adam(work.params.vec.size)
+                optimizer = Adam(work.vec.size)
         if it % config.eval_every == 0:
             record(it)
 
     if not np.isfinite([val for _, _, val in history]).any():
         raise ValueError("no recorded validation NLL is finite")
-    return replace(work, params=best_params).materialize(), history
+    return best.materialize(), history

@@ -36,9 +36,9 @@ from domcf import (
     intervention_set,
     nll_gradient,
     sample_dataset,
-    train,
 )
 from domcf.experiment import ExperimentConfig, VariantSpec, run_experiment
+from domcf.train import train
 from conftest import (
     family_with_intervention,
     probe_points,
@@ -189,8 +189,7 @@ def test_criterion_5_gradient_correctness():
         m = int(gen.integers(3, 5))
         nd = int(gen.integers(2, 4))
         t = TrainableILD.initialize(m, nd, kind, k, seed=trial)
-        vec = t.free_vector()
-        t = t.with_free_vector(vec + 0.3 * gen.standard_normal(vec.shape))
+        t.vec[...] += 0.3 * gen.standard_normal(t.vec.shape)
         model = t.materialize()
         xs, ds = [], []
         for d in range(1, nd + 1):
@@ -203,16 +202,15 @@ def test_criterion_5_gradient_correctness():
         X, labels = X[keep], labels[keep]
 
         analytic = nll_gradient(t, (X, labels)).vec
-        v0 = t.free_vector()
         h = 1e-5
-        fd = np.zeros_like(v0)
-        for i in range(len(v0)):
-            up, down = v0.copy(), v0.copy()
-            up[i] += h
-            down[i] -= h
+        fd = np.zeros_like(t.vec)
+        for i in range(len(fd)):
+            up, down = t.copy(), t.copy()
+            up.vec[i] += h
+            down.vec[i] -= h
             fd[i] = (
-                dataset_nll(t.with_free_vector(up).materialize(), X, labels)
-                - dataset_nll(t.with_free_vector(down).materialize(), X, labels)
+                dataset_nll(up.materialize(), X, labels)
+                - dataset_nll(down.materialize(), X, labels)
             ) / (2 * h)
         rel = np.abs(analytic - fd) / np.maximum(
             np.maximum(np.abs(analytic), np.abs(fd)), 1e-3

@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from domcf import AffineSCM, AffineDense, GroundTruthSpec, ILDModel, LayerChain, serialize
+from domcf import (
+    AffineDense,
+    AffineSCM,
+    ExperimentConfig,
+    GroundTruthSpec,
+    ILDModel,
+    LayerChain,
+    TrainConfig,
+    serialize,
+)
 from domcf import cli
 from domcf.cli import main
 
@@ -182,6 +191,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 4
         assert "train data is rank-deficient" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.json").exists()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_train_values_exit_4(self, dataset_dir, tmp_path, capsys):
@@ -591,6 +601,7 @@ class TestCanonicalize:
         assert main(["canonicalize", "--model", str(path), "--out", str(out)]) == 4
         assert "broke triangularity" in capsys.readouterr().err
         assert not (out / "canonical.json").exists()
+        assert not out.exists()
 
 
 class TestCounterfactual:
@@ -676,6 +687,19 @@ class TestExperiment:
         cfg = tmp_path / "exp.json"
         write_json(cfg, {"n_seeds": 1})
         assert main(["experiment", "--config", str(cfg)]) == 2
+
+    def test_train_seed_it_would_ignore_exits_2(self, tmp_path, capsys):
+        # Every fit trains with its ground-truth seed, so only 0 is accepted.
+        spec = GroundTruthSpec(**GT_2D)
+        ExperimentConfig(ground_truth=spec, train=TrainConfig(iterations=0, seed=0))
+        cfg, out = tmp_path / "exp.json", tmp_path / "exp_out"
+        write_json(
+            cfg,
+            {"ground_truth": GT_2D, "train": {"iterations": 0, "seed": 99}, "output_dir": str(out)},
+        )
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "train.seed=99 would be ignored" in capsys.readouterr().err
+        assert not out.exists()
 
 
 GT_2D = {"dim": 2, "num_domains": 2, "intervention": [2], "n_train": 20, "n_val": 10,

@@ -23,9 +23,9 @@ from domcf import (
     nll_gradient,
     oracle_counterfactual_error,
     serialize,
-    train,
 )
 from domcf.cli import main
+from domcf.train import train
 from conftest import probe_points, random_model
 
 M, ND = 2, 3

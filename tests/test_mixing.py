@@ -269,16 +269,16 @@ class TestInvertibility:
         X, labels = gen.standard_normal((200, 2)), np.repeat([1, 2], 100)
         work = TrainableILD.initialize(2, 2, "dense", seed=0)
         search = _KinkSearch(X, labels, 2, TrainConfig(seed=0))
-        assert not np.array_equal(search._best_row(work.copy(), 0)[0], work.params.W[0])
+        assert not np.array_equal(search._best_row(work.copy(), 0)[0], work.W[0])
 
         monkeypatch.setattr(mixing, "_MIN_ABS_DET", 1e300)  # nothing counts as invertible
         with pytest.raises(ValueError, match="singular"):
             AffineDense(np.eye(2), np.zeros(2))
         with pytest.raises(RuntimeError, match="60 step halvings"):
-            Adam(work.params.vec.size).step(work.params, work.params.zeros_like(), LEARNING_RATE)
+            Adam(work.vec.size).step(work, work.zeros_like(), LEARNING_RATE)
         search = _KinkSearch(X, labels, 2, TrainConfig(seed=0))
         row, c = search._best_row(work, 0)
-        assert np.array_equal(row, work.params.W[0]) and c == work.params.c[0]
+        assert np.array_equal(row, work.W[0]) and c == work.c[0]
 
 
 class TestLeakyRelu:

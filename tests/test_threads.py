@@ -58,7 +58,7 @@ def test_other_openblas_variables_win(var):
 FIT = (
     "import domcf; "
     "from domcf import GroundTruthSpec, TrainConfig, TrainableILD, generate_ground_truth, "
-    "sample_dataset, train; "
+    "sample_dataset; from domcf.train import train; "
     "spec = GroundTruthSpec(dim=6, num_domains=3, intervention=(5, 6), n_train=5000, "
     "n_val=500, n_test=100, seed=3); "
     "ds = sample_dataset(generate_ground_truth(spec), spec); "

@@ -1,4 +1,3 @@
-import importlib
 import math
 from dataclasses import replace
 from itertools import combinations
@@ -17,25 +16,32 @@ from domcf import (
     intervention_set,
     nll_gradient,
     sample_dataset,
+)
+from domcf.train import (
+    LEARNING_RATE,
+    Adam,
+    _KinkSearch,
+    _nll_grad,
+    _profile_fit,
+    dataset_nll,
     train,
 )
-from domcf.train import LEARNING_RATE, Adam, _KinkSearch, _nll_grad, _profile_fit, dataset_nll
-
-# ``domcf.train`` is also the package's ``train`` function; this is the module.
-TRAIN_MODULE = importlib.import_module("domcf.train")
 
 
 def perturbed(trainable: TrainableILD, seed: int, scale: float = 0.3) -> TrainableILD:
     gen = np.random.default_rng(seed)
-    vec = trainable.free_vector()
-    return trainable.with_free_vector(vec + scale * gen.standard_normal(vec.shape))
+    out = trainable.copy()
+    out.vec[...] += scale * gen.standard_normal(out.vec.shape)
+    return out
 
 
 def structural_entries(trainable: TrainableILD) -> np.ndarray:
     """Buffer entries of ``shared_L``/``dom_L`` on or above the full ``L``'s diagonal."""
     upper = np.triu(np.ones((trainable.dim, trainable.dim), dtype=bool))
-    p, ns = trainable.params, trainable.shared_rows
-    return np.concatenate([p.shared_L[upper[:ns]], p.dom_L[:, upper[ns:]].ravel()])
+    ns = trainable.shared_rows
+    return np.concatenate(
+        [trainable.shared_L[upper[:ns]], trainable.dom_L[:, upper[ns:]].ravel()]
+    )
 
 
 def model_batch(trainable: TrainableILD, n_per_domain: int, seed: int, min_kink=0.0):
@@ -57,15 +63,15 @@ def model_batch(trainable: TrainableILD, n_per_domain: int, seed: int, min_kink=
 class TestNllLoss:
     def test_identity_params_at_origin(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
-        t = t.with_free_vector(np.zeros_like(t.free_vector()))
-        t.params.W[...] = np.eye(2)
+        t.vec[...] = 0.0
+        t.W[...] = np.eye(2)
         batch = (np.zeros((4, 2)), np.array([1, 1, 2, 2]))
         assert dataset_nll(t.materialize(), *batch) == pytest.approx(math.log(2 * math.pi))
 
     def test_can_full_k_equals_dense(self):
         can = perturbed(TrainableILD.initialize(3, 2, "can", k=3, seed=1), seed=2)
         dense = TrainableILD.initialize(3, 2, "dense", seed=1)
-        dense = dense.with_free_vector(can.free_vector())
+        dense.vec[...] = can.vec
         X, labels = model_batch(can, 20, seed=3)
         nll_can = dataset_nll(can.materialize(), X, labels)
         assert nll_can == dataset_nll(dense.materialize(), X, labels)
@@ -122,32 +128,31 @@ class TestNllGradient:
         # is exactly the mean residual
         m = 2
         t = TrainableILD.initialize(m, 2, "dense", seed=0)
-        t = t.with_free_vector(np.zeros_like(t.free_vector()))
-        t.params.W[...] = np.eye(m)
-        t.params.c[...] = [-0.5, -0.25]
+        t.vec[...] = 0.0
+        t.W[...] = np.eye(m)
+        t.c[...] = [-0.5, -0.25]
         gen = np.random.default_rng(8)
         X = gen.uniform(2.0, 5.0, size=(40, m))
         labels = np.tile([1, 2], 20)
         grads = nll_gradient(t, (X, labels))
         np.testing.assert_allclose(
-            grads.c, (X + t.params.c).mean(axis=0), atol=1e-12
+            grads.c, (X + t.c).mean(axis=0), atol=1e-12
         )
 
     @pytest.mark.parametrize("kind,k", [("can", 2), ("dense", None)])
     def test_matches_finite_differences(self, kind, k):
         t = perturbed(TrainableILD.initialize(4, 3, kind, k, seed=10), seed=11)
         X, labels = model_batch(t, 12, seed=12, min_kink=1e-2)
-        v0 = t.free_vector()
         analytic = nll_gradient(t, (X, labels)).vec
         h = 1e-5
-        fd = np.zeros_like(v0)
-        for i in range(len(v0)):
-            up, down = v0.copy(), v0.copy()
-            up[i] += h
-            down[i] -= h
+        fd = np.zeros_like(t.vec)
+        for i in range(len(fd)):
+            up, down = t.copy(), t.copy()
+            up.vec[i] += h
+            down.vec[i] -= h
             fd[i] = (
-                dataset_nll(t.with_free_vector(up).materialize(), X, labels)
-                - dataset_nll(t.with_free_vector(down).materialize(), X, labels)
+                dataset_nll(up.materialize(), X, labels)
+                - dataset_nll(down.materialize(), X, labels)
             ) / (2 * h)
         rel = np.abs(analytic - fd) / np.maximum(
             np.maximum(np.abs(analytic), np.abs(fd)), 1e-3
@@ -160,17 +165,17 @@ class TestNllGradient:
         dense = TrainableILD.initialize(m, nd, "dense", seed=13)
         # tie dense domain rows to the shared values
         for d in range(nd):
-            dense.params.dom_L[d] = np.vstack(
-                [can.params.shared_L, can.params.dom_L[d]]
+            dense.dom_L[d] = np.vstack(
+                [can.shared_L, can.dom_L[d]]
             )
-            dense.params.dom_logS[d] = np.concatenate(
-                [can.params.shared_logS, can.params.dom_logS[d]]
+            dense.dom_logS[d] = np.concatenate(
+                [can.shared_logS, can.dom_logS[d]]
             )
-            dense.params.dom_b[d] = np.concatenate(
-                [can.params.shared_b, can.params.dom_b[d]]
+            dense.dom_b[d] = np.concatenate(
+                [can.shared_b, can.dom_b[d]]
             )
-        dense.params.W[...] = can.params.W
-        dense.params.c[...] = can.params.c
+        dense.W[...] = can.W
+        dense.c[...] = can.c
         X, labels = model_batch(can, 10, seed=15)
         g_can = nll_gradient(can, (X, labels))
         g_dense = nll_gradient(dense, (X, labels))
@@ -187,7 +192,7 @@ class TestNllGradient:
 
     def test_singular_observation_layer_rejected(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
-        t.params.W[...] = 0.0
+        t.W[...] = 0.0
         with pytest.raises(ValueError):
             nll_gradient(t, (np.ones((2, 2)), np.array([1, 2])))
 
@@ -199,11 +204,11 @@ def per_domain_grad(trainable: TrainableILD, X, labels, kink_term=False):
     selected with a boolean mask and pushed through that domain's own
     ``I - L``; a domain absent from the batch contributes nothing.
     """
-    p, m, ns = trainable.params, trainable.dim, trainable.shared_rows
+    m, ns = trainable.dim, trainable.shared_rows
     n, s = len(X), 0.5
-    U = X @ p.W.T + p.c
+    U = X @ trainable.W.T + trainable.c
     Z = np.where(U >= 0.0, U, U / s)
-    grads = p.zeros_like()
+    grads = trainable.zeros_like()
     dU = np.zeros_like(U)
     stacked = trainable.mechanism_arrays()
     for d0 in range(trainable.num_domains):
@@ -225,7 +230,7 @@ def per_domain_grad(trainable: TrainableILD, X, labels, kink_term=False):
     if kink_term:
         h = 1.06 * np.maximum(U.std(axis=0), 1e-12) * n ** -0.2
         dU += -math.log(s) / (h * math.sqrt(2 * math.pi)) * np.exp(-0.5 * (U / h) ** 2)
-    grads.W[...] = dU.T @ X - n * np.linalg.inv(p.W).T
+    grads.W[...] = dU.T @ X - n * np.linalg.inv(trainable.W).T
     grads.c[...] = dU.sum(axis=0)
     return grads.vec / n
 
@@ -254,7 +259,7 @@ class TestStackedKernel:
     def test_reused_buffer_equals_fresh_buffer(self):
         t = perturbed(TrainableILD.initialize(4, 3, "can", 2, seed=43), seed=44)
         X, labels = model_batch(t, 30, seed=45)
-        buffer = t.params.zeros_like()
+        buffer = t.zeros_like()
         _nll_grad(t, X, labels, kink_term=True, out=buffer)
         keep = labels != 3
         grads = _nll_grad(t, X[keep], labels[keep], kink_term=True, out=buffer)
@@ -278,10 +283,9 @@ def per_row_profile_fit(trainable: TrainableILD, X, labels, choose_rows=False):
     equations (pooled for the shared rows, per domain for the others), and
     ``choose_rows`` compares covariance log-determinants formed explicitly.
     """
-    p = trainable.params
     m, nd, ns = trainable.dim, trainable.num_domains, trainable.shared_rows
     n = len(X)
-    U = X @ p.W.T + p.c
+    U = X @ trainable.W.T + trainable.c
     Z1 = np.hstack([np.ones((n, 1)), np.where(U >= 0.0, U, U / 0.5)])
     groups = [Z1[labels == d0 + 1] for d0 in range(nd)]
     counts = np.array([len(g) for g in groups])
@@ -308,8 +312,7 @@ def per_row_profile_fit(trainable: TrainableILD, X, labels, choose_rows=False):
         shared = min(combinations(range(m), ns), key=variation)
         perm = np.array(list(shared) + [j for j in range(m) if j not in shared])
     out = trainable.copy()
-    q = out.params
-    q.W[...], q.c[...] = p.W[perm], p.c[perm]
+    out.W[...], out.c[...] = trainable.W[perm], trainable.c[perm]
     order = np.concatenate([[0], perm + 1])
     moments = moments[:, order][:, :, order]
     pooled = pooled[np.ix_(order, order)]
@@ -318,24 +321,24 @@ def per_row_profile_fit(trainable: TrainableILD, X, labels, choose_rows=False):
     L_shared, a_shared = np.zeros((ns, m)), np.zeros(ns)
     for j in range(ns):
         a_shared[j], L_shared[j, :j], var = regress(pooled, j)
-        q.shared_logS[j] = 0.5 * math.log(var)
-        nll_rows += n * q.shared_logS[j]
-    q.shared_L[...] = L_shared
-    q.shared_b[...] = np.linalg.solve(np.eye(ns) - L_shared[:, :ns], a_shared)
+        out.shared_logS[j] = 0.5 * math.log(var)
+        nll_rows += n * out.shared_logS[j]
+    out.shared_L[...] = L_shared
+    out.shared_b[...] = np.linalg.solve(np.eye(ns) - L_shared[:, :ns], a_shared)
     for d0, (cnt, mom) in enumerate(zip(counts, moments)):
         L, a = np.zeros((m, m)), np.zeros(m)
         L[:ns], a[:ns] = L_shared, a_shared
         for j in range(ns, m):
             a[j], L[j, :j], var = regress(mom, j)
-            q.dom_logS[d0, j - ns] = 0.5 * math.log(var)
-            nll_rows += cnt * q.dom_logS[d0, j - ns]
-        q.dom_L[d0] = L[ns:]
-        q.dom_b[d0] = np.linalg.solve(np.eye(m) - L, a)[ns:]
+            out.dom_logS[d0, j - ns] = 0.5 * math.log(var)
+            nll_rows += cnt * out.dom_logS[d0, j - ns]
+        out.dom_L[d0] = L[ns:]
+        out.dom_b[d0] = np.linalg.solve(np.eye(m) - L, a)[ns:]
     nll = (
         0.5 * m * (math.log(2 * math.pi) + 1.0)
         + nll_rows / n
         + math.log(0.5) * np.count_nonzero(U < 0.0) / n
-        - np.linalg.slogdet(q.W)[1]
+        - np.linalg.slogdet(out.W)[1]
     )
     return out, nll
 
@@ -350,14 +353,14 @@ class TestProfileFit:
         t = perturbed(TrainableILD.initialize(5, 3, kind, k, seed=seed), seed=seed + 10)
         X, labels = model_batch(t, 200, seed=seed + 20)
         gen = np.random.default_rng(seed)
-        t.params.W[...] = gen.standard_normal((5, 5))  # rows unrelated to the data
-        t.params.c[...] = gen.standard_normal(5)
+        t.W[...] = gen.standard_normal((5, 5))  # rows unrelated to the data
+        t.c[...] = gen.standard_normal(5)
         fitted, nll = _profile_fit(t, X, labels, choose_rows)
         ref, ref_nll = per_row_profile_fit(t, X, labels, choose_rows)
-        np.testing.assert_array_equal(fitted.params.W, ref.params.W)  # same shared rows
+        np.testing.assert_array_equal(fitted.W, ref.W)  # same shared rows
         np.testing.assert_allclose(
-            fitted.params.vec, ref.params.vec, rtol=1e-10,
-            atol=1e-10 * np.abs(ref.params.vec).max(),
+            fitted.vec, ref.vec, rtol=1e-10,
+            atol=1e-10 * np.abs(ref.vec).max(),
         )
         assert nll == pytest.approx(ref_nll, rel=1e-10)
         assert nll == pytest.approx(dataset_nll(fitted.materialize(), X, labels), rel=1e-10)
@@ -367,20 +370,20 @@ class TestProfileFit:
 class TestParamBuffer:
     def test_view_write_changes_free_vector(self):
         t = TrainableILD.initialize(3, 2, "can", k=1, seed=0)
-        before = t.free_vector()
-        t.params.dom_b[1, 0] = 7.0
-        changed = np.flatnonzero(t.free_vector() != before)
-        assert len(changed) == 1 and t.free_vector()[changed[0]] == 7.0
+        before = t.vec.copy()
+        t.dom_b[1, 0] = 7.0
+        changed = np.flatnonzero(t.vec != before)
+        assert len(changed) == 1 and t.vec[changed[0]] == 7.0
 
     def test_copy_shares_no_memory(self):
         t = TrainableILD.initialize(3, 2, "can", k=1, seed=0)
-        assert not np.shares_memory(t.copy().params.vec, t.params.vec)
-        assert not np.shares_memory(t.params.copy().vec, t.params.vec)
+        assert not np.shares_memory(t.copy().vec, t.vec)
+        assert not np.shares_memory(t.zeros_like().vec, t.vec)
 
     def test_views_cannot_be_rebound(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
         with pytest.raises(AttributeError):
-            t.params.W = np.eye(2)
+            t.W = np.eye(2)
 
     @pytest.mark.parametrize(
         "kind, k, match",
@@ -405,7 +408,32 @@ class TestParamBuffer:
     def test_wrong_length_rejected(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
         with pytest.raises(ValueError):
-            t.with_free_vector(np.zeros(t.free_vector().size + 1))
+            TrainableILD(2, 2, 2, np.zeros(t.vec.size + 1))
+
+    def test_non_float64_buffer_rejected(self):
+        size = TrainableILD(2, 2, 2).vec.size
+        with pytest.raises(ValueError, match="float64"):
+            TrainableILD(2, 2, 2, np.zeros(size, dtype=int))
+
+    def test_kink_search_restore_keeps_views_in_the_buffer(self):
+        spec = GroundTruthSpec(3, 2, (3,), n_train=400, n_val=60, n_test=60, seed=3)
+        ds = sample_dataset(generate_ground_truth(spec), spec)
+        t = TrainableILD.initialize(3, 2, "can", 1, seed=3)
+        buffer = t.vec
+        search = _KinkSearch(ds.train.x, ds.train.d, 2, TrainConfig(iterations=1000, seed=3))
+        assert search.check(t, 500)  # a proposal rewrites the buffer in place
+        before, _ = search.pending
+        assert not np.array_equal(t.vec, before)
+        search.pending = (before, -math.inf)  # the judge must reject it
+        assert search.check(t, 1000) and search.pending is None
+        assert t.vec is buffer and np.array_equal(t.vec, before)
+        names = ("W", "c", "shared_L", "shared_logS", "shared_b", "dom_L", "dom_logS", "dom_b")
+        for name in names:
+            view = getattr(t, name)
+            assert view.size and np.shares_memory(view, buffer), name
+            view.flat[0] += 1.0
+            assert not np.array_equal(t.vec, before), name
+            view.flat[0] -= 1.0
 
     def test_training_keeps_structural_zeros(self, monkeypatch):
         m, nd, k = 4, 2, 2
@@ -442,37 +470,37 @@ class TestParamBuffer:
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
-        before = t.free_vector()
-        opt = Adam(t.params.vec.size)
-        opt.step(t.params, t.params.zeros_like(), LEARNING_RATE)
-        np.testing.assert_array_equal(t.free_vector(), before)
+        before = t.vec.copy()
+        opt = Adam(t.vec.size)
+        opt.step(t, t.zeros_like(), LEARNING_RATE)
+        np.testing.assert_array_equal(t.vec, before)
 
     def test_first_step_closed_form(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=1)
-        before_W = t.params.W.copy()
-        before_domb = t.params.dom_b.copy()
-        grads = t.params.zeros_like()
+        before_W = t.W.copy()
+        before_domb = t.dom_b.copy()
+        grads = t.zeros_like()
         grads.W[...] = 3.0
         grads.dom_b[...] = -2.0
-        opt = Adam(t.params.vec.size)
-        opt.step(t.params, grads, 0.01)
+        opt = Adam(t.vec.size)
+        opt.step(t, grads, 0.01)
         # bias-corrected first step is -lr * g / (|g| + eps) per coordinate
         np.testing.assert_allclose(
-            t.params.W, before_W - 0.01 * 3.0 / (3.0 + 1e-8), atol=1e-15
+            t.W, before_W - 0.01 * 3.0 / (3.0 + 1e-8), atol=1e-15
         )
         np.testing.assert_allclose(
-            t.params.dom_b, before_domb + 0.01 * 2.0 / (2.0 + 1e-8), atol=1e-15
+            t.dom_b, before_domb + 0.01 * 2.0 / (2.0 + 1e-8), atol=1e-15
         )
 
     def test_singular_step_is_halved(self):
         t = TrainableILD.initialize(1, 2, "dense", seed=0)
-        grads = t.params.zeros_like()
+        grads = t.zeros_like()
         grads.W[...] = 1.0
-        opt = Adam(t.params.vec.size)
-        assert opt.step(t.params, grads, 1.0 + 1e-8) is None
+        opt = Adam(t.vec.size)
+        assert opt.step(t, grads, 1.0 + 1e-8) is None
         # the full step would land exactly on det ~ 0; half of it is accepted
-        assert abs(t.params.W[0, 0] - 0.5) < 1e-6
-        assert abs(np.linalg.det(t.params.W)) > 1e-12
+        assert abs(t.W[0, 0] - 0.5) < 1e-6
+        assert abs(np.linalg.det(t.W)) > 1e-12
 
     def test_bit_identical_runs(self, tiny_dataset):
         cfg = TrainConfig(iterations=50, eval_every=10, batch_size=32, seed=3)
@@ -526,7 +554,7 @@ class TestTrain:
         assert len(history) == 300 // 100 + 1
 
     def test_location_model_recovers_shift(self, tiny_dataset, monkeypatch):
-        monkeypatch.setattr(TRAIN_MODULE, "LEARNING_RATE", 0.005)
+        monkeypatch.setattr("domcf.train.LEARNING_RATE", 0.005)
         cfg = TrainConfig(iterations=2000, eval_every=200, batch_size=200, seed=5)
         t = TrainableILD.initialize(1, 2, "dense", seed=5)
         model, _ = train(t, tiny_dataset, cfg)
@@ -545,7 +573,7 @@ class TestTrain:
         assert val == pytest.approx(best_recorded, abs=1e-12)
 
     def test_training_reduces_loss(self, tiny_dataset, monkeypatch):
-        monkeypatch.setattr(TRAIN_MODULE, "LEARNING_RATE", 0.01)
+        monkeypatch.setattr("domcf.train.LEARNING_RATE", 0.01)
         for seed in (0, 1, 2):
             cfg = TrainConfig(iterations=500, eval_every=500, batch_size=128, seed=seed)
             t = TrainableILD.initialize(1, 2, "dense", seed=seed)
@@ -662,8 +690,6 @@ class TestTrain:
             dim=m, num_domains=nd, intervention=(4, 5),
             n_train=400, n_val=100, n_test=100, seed=21,
         )
-        from domcf import generate_ground_truth, sample_dataset
-
         ds = sample_dataset(generate_ground_truth(spec), spec)
         cfg = TrainConfig(iterations=200, eval_every=100, batch_size=64, seed=21)
         t = TrainableILD.initialize(m, nd, "can", k, seed=21)
@@ -689,14 +715,14 @@ def trend_truth():
     _, standardize, out = gt.g.layers
     W = np.linalg.inv(out.G @ standardize.G)
     t = TrainableILD.initialize(6, 3, "can", 2, seed=3)
-    p, ns = t.params, t.shared_rows
-    p.W[...], p.c[...] = W, -W @ (out.G @ standardize.b + out.b)
+    ns = t.shared_rows
+    t.W[...], t.c[...] = W, -W @ (out.G @ standardize.b + out.b)
     f0 = gt.scms[0]
-    p.shared_L[...], p.shared_logS[...], p.shared_b[...] = (
+    t.shared_L[...], t.shared_logS[...], t.shared_b[...] = (
         f0.L[:ns], np.log(f0.S[:ns]), f0.b[:ns]
     )
     for d0, f in enumerate(gt.scms):
-        p.dom_L[d0], p.dom_logS[d0], p.dom_b[d0] = f.L[ns:], np.log(f.S[ns:]), f.b[ns:]
+        t.dom_L[d0], t.dom_logS[d0], t.dom_b[d0] = f.L[ns:], np.log(f.S[ns:]), f.b[ns:]
     gt_val = dataset_nll(gt, dataset.val.x, dataset.val.d)
     return t, dataset, gt_val
 
@@ -723,12 +749,12 @@ class TestKinkCorrectedUpdate:
         for _ in range(batches):
             idx = gen.integers(0, len(X), size=500)
             mean_c += _nll_grad(t, X[idx], labels[idx], kink_term=True).c / batches
-        steps = 1e-2 * (X @ t.params.W.T + t.params.c).std(axis=0)
+        steps = 1e-2 * (X @ t.W.T + t.c).std(axis=0)
         central = np.zeros(t.dim)
         for j, h in enumerate(steps):
             up, down = t.copy(), t.copy()
-            up.params.c[j] += h
-            down.params.c[j] -= h
+            up.c[j] += h
+            down.c[j] -= h
             central[j] = (
                 dataset_nll(up.materialize(), X, labels)
                 - dataset_nll(down.materialize(), X, labels)
@@ -741,12 +767,12 @@ class TestKinkCorrectedUpdate:
         t, dataset, gt_val = trend_truth
         X, labels = dataset.train.x, dataset.train.d
         work = t.copy()
-        optimizer = Adam(work.params.vec.size)
+        optimizer = Adam(work.vec.size)
         gen = np.random.default_rng(3)
         for _ in range(2000):
             idx = gen.integers(0, len(X), size=500)
             grads = _nll_grad(work, X[idx], labels[idx], kink_term=True)
-            optimizer.step(work.params, grads, LEARNING_RATE)
+            optimizer.step(work, grads, LEARNING_RATE)
         val = dataset_nll(work.materialize(), dataset.val.x, dataset.val.d)
         assert val - gt_val <= 0.05
 
@@ -754,7 +780,7 @@ class TestKinkCorrectedUpdate:
         t, dataset, gt_val = trend_truth
         shuffled = t.copy()
         order = [5, 1, 4, 0, 3, 2]
-        shuffled.params.W[...], shuffled.params.c[...] = t.params.W[order], t.params.c[order]
+        shuffled.W[...], shuffled.c[...] = t.W[order], t.c[order]
         fitted, nll = _profile_fit(
             shuffled, dataset.train.x, dataset.train.d, choose_rows=True
         )
