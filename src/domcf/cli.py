@@ -246,6 +246,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"metric {name!r} is not finite ({value!r})")
     payload = json.dumps(metrics, indent=2)
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(payload + "\n")
     print(payload)
     return EXIT_OK
@@ -280,6 +281,7 @@ def cmd_counterfactual(args) -> int:
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise ValueError(f"the counterfactual of sample {np.argmin(finite) + 1} is not finite")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     serialize.write_dataset_csv(args.out, rows, np.full(len(x), target, dtype=int))
     print(f"wrote {len(x)} counterfactuals into domain {target}: {args.out}")
     return EXIT_OK

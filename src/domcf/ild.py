@@ -22,6 +22,12 @@ batch-sized temporaries alive at once, and the allocator serves each from
 fresh pages, whose minor page faults can cost more than the arithmetic;
 block-sized temporaries are reused from the heap.  Rows never mix in a
 block, so a blocked counterfactual equals the full-batch one bit for bit.
+Both kernels run a block as ``(m, rows)`` (``mixing._walk_columns``), so
+each product is ``G @ v`` and each bias add runs along rows; every step
+rounds as its row-major form does.  The last product stays row-major,
+written into its destination: ``F^{-1}`` in the likelihood, so the squared
+noise sums in row order (an ``(m, rows)`` sum moves the last bit), and the
+output layer in a counterfactual, so no block is copied.
 
 Labeled samples ``(X, labels)`` follow one contract wherever they enter:
 ``_labeled_rows`` checks them (its docstring lists the errors), and
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import LayerChain, LeakyRelu
+from .mixing import LayerChain, LeakyRelu, _AffineStage, _walk_columns
 from .scm import (
     AffineSCM,
     DimensionMismatch,
@@ -149,15 +155,15 @@ class ILDModel:
     def _transport(self, x, d: int, targets) -> np.ndarray:
         """``g(A_t g^{-1}(x) + c_t)`` for each target ``t``, block by block into
         one output; a single vector is a batch of one."""
-        maps = [self._latent_map(d, t) for t in targets]
+        walks = [(_AffineStage(*self._latent_map(d, t), None, ()), *self.g.stages) for t in targets]
         x = _check_vector(x, self.dim)
         batch = x.reshape(-1, self.dim)
-        out = np.empty((len(maps),) + batch.shape)
+        out = np.empty((len(walks),) + batch.shape)
         for lo, hi in _blocks(len(batch)):
-            z = self.g.inverse(batch[lo:hi])
-            for cf, (A, c) in zip(out, maps):
-                cf[lo:hi] = self.g.forward(z @ A.T + c)
-        return out.reshape((len(maps),) + x.shape)
+            z = _walk_columns(batch[lo:hi].T, self.g.stages[::-1], inverse=True)
+            for cf, walk in zip(out, walks):
+                _walk_columns(z, walk, inverse=False, out=cf[lo:hi])
+        return out.reshape((len(walks),) + x.shape)
 
     def _latent_map(self, d: int, d_prime: int) -> tuple[np.ndarray, np.ndarray]:
         """``(A, c)`` with ``f_d'(f_d^{-1}(z)) = A z + c``."""
@@ -237,27 +243,29 @@ def _label_runs(keys: np.ndarray) -> list[tuple[slice | np.ndarray, int]]:
 def dataset_nll(model: ILDModel, X, labels) -> float:
     """Mean negative log-likelihood of labeled observations under ``model``.
 
-    The evaluation kernel (see the module docstring); it equals minus the
-    mean of ``ILDModel.log_likelihood`` over the rows up to rounding.  Each
-    run of equal labels (``_label_runs``) goes through the stages of ``g`` in
-    reverse in row blocks, keeping only sums: the squared noise, each leaky
-    ReLU's count of negative inputs per block times its log-slope, and row
-    counts times the constant log-dets.  Bad input raises as in ``_labeled_rows``.
+    The evaluation kernel (see the module docstring): minus the mean of
+    ``ILDModel.log_likelihood`` up to rounding, from sums over the row blocks
+    of each label run.  Bad input raises as in ``_labeled_rows``.
     """
-    X, labels = _labeled_rows((X, labels), model)
+    return _dataset_nll(model, *_labeled_rows((X, labels), model))
+
+
+def _dataset_nll(model: ILDModel, X: np.ndarray, labels: np.ndarray) -> float:
+    """``dataset_nll`` of rows that ``_labeled_rows`` has already checked."""
     stages = model.g.stages[::-1]
     const_log_det = sum(sum(s.log_dets) for s in stages if not isinstance(s, LeakyRelu))
+    eps = np.empty((min(len(X), _BLOCK_ROWS + 1), model.dim))  # the largest block
     sq_sum = log_det_sum = 0.0
     for rows, d in _label_runs(labels):
         f, Xd = model.scms[d - 1], X[rows]
+        to_noise = (*stages, _AffineStage.fuse((f,)))
         for lo, hi in _blocks(len(Xd)):
-            v = Xd[lo:hi]
-            for stage in stages:
-                v = stage.inverse(v)
-                if isinstance(stage, LeakyRelu):
-                    log_det_sum += int(np.count_nonzero(v < 0.0)) * math.log(stage.slope)
-            eps = f.inverse(v)
-            sq_sum += float(np.sum(np.square(eps, out=eps)))
+            log_dets = []
+            e = eps[: hi - lo]
+            _walk_columns(Xd[lo:hi].T, to_noise, inverse=True, out=e, log_dets=log_dets)
+            for term in log_dets:
+                log_det_sum += term
+            sq_sum += float(np.sum(np.square(e, out=e)))  # adds (rows, m) in row order
         log_det_sum += len(Xd) * (const_log_det + f.log_abs_det())
     return (0.5 * sq_sum + log_det_sum) / len(X) + 0.5 * model.dim * LOG_TWO_PI
 

@@ -15,6 +15,11 @@ fused into one cached map ``y = G x + b`` with its inverse ``G^{-1}``,
 composed from the layers' own cached matrices, and each leaky ReLU is a stage
 of its own.  A leaky ReLU is ``max(x, s x)`` (``min`` for ``s > 1``),
 which equals the two-branch form bit for bit.
+``LayerChain.forward``, ``inverse`` and ``inverse_and_log_det`` take rows
+``(n, m)``; the kernels of ``domcf.ild`` walk the stages on ``(m, rows)``
+blocks (``_walk_columns``).  Cached matrices keep their memory order:
+``G @ v`` is as fast for either, and the rounding of a one-row block's
+matrix-vector product depends on it.
 """
 from __future__ import annotations
 
@@ -198,6 +203,30 @@ class _AffineStage:
 
     def inverse(self, y):
         return (y - self.b) @ self.G_inv.T
+
+
+def _walk_columns(v, stages, inverse: bool, out=None, log_dets=None):
+    """Run ``v``, a row block transposed to ``(m, rows)``, through ``stages`` in
+    the order given, forward or each inverted, never writing ``v``: ``G @ v``
+    and ``v + b[:, None]``, each rounding as its row-major form.  With ``out``
+    (rows, m), a last affine stage writes its product into ``out`` row-major,
+    ``v.T @ G.T`` (a last leaky stage is copied in).  Each leaky stage appends
+    its negative count times its log-slope to ``log_dets``."""
+    for i, s in enumerate(stages):
+        if isinstance(s, LeakyRelu):
+            v = s.inverse(v) if inverse else s.forward(v)
+            if log_dets is not None:
+                log_dets.append(int(np.count_nonzero(v < 0.0)) * math.log(s.slope))
+            continue
+        if inverse:  # in place once the walk owns v
+            v = np.subtract(v, s.b[:, None], out=v if i else np.empty(v.shape))
+        G, last = (s.G_inv if inverse else s.G), out is not None and i == len(stages) - 1
+        v = np.matmul(v.T, G.T, out=out) if last else G @ v
+        if not inverse:
+            v += s.b if last else s.b[:, None]
+    if out is not None and v is not out:
+        out[...] = v.T
+    return v if out is None else out
 
 
 def _affine_map(layer: Layer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,8 +23,8 @@ buffer with a few vector operations.  The kink search saves and restores that
 buffer in place, and ``train`` keeps its best checkpoint as a copy.  A training
 step computes only a gradient (``_nll_grad``), in one stacked pass over all
 domains into one reused buffer; records and the kink search's judge take
-their NLL from ``domcf.ild.dataset_nll``, the blocked evaluation kernel,
-never from the per-row reference ``ILDModel.log_likelihood``.
+their NLL from ``domcf.ild._dataset_nll``, the blocked evaluation kernel on
+splits ``train`` checked once, never from ``ILDModel.log_likelihood``.
 
 The batch negative log-likelihood is ``dataset_nll(trainable.materialize(),
 X, labels)``; ``nll_gradient`` is its exact reverse-mode gradient (the
@@ -54,7 +54,8 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .ild import ILDModel, LOG_TWO_PI, _labeled_rows, dataset_nll
+# benchmarks/workloads.py calls ``domcf.train.dataset_nll``.
+from .ild import ILDModel, LOG_TWO_PI, _dataset_nll, _labeled_rows, dataset_nll  # noqa: F401
 from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
 from .scm import AffineSCM
 
@@ -395,7 +396,7 @@ class _KinkSearch:
     is linear there and no gradient reaches it.  Fits from the identity start
     settle into local optima with some kinks dead or pointing in directions
     that explain little.  Each check first judges the pending proposal: it is
-    kept if the mean NLL on a fixed training subsample (``dataset_nll``, the
+    kept if the mean NLL on a fixed training subsample (``_dataset_nll``, the
     records' evaluator) did not rise since it was made, otherwise the
     parameter buffer is restored in place and the wait before the next
     proposal doubles.  A proposal replaces the row of ``(W, c)`` of every dead
@@ -431,7 +432,7 @@ class _KinkSearch:
         if self.pending is not None:
             before, nll_before = self.pending
             self.pending = None
-            if dataset_nll(work.materialize(), self.X, self.labels) > nll_before:
+            if _dataset_nll(work.materialize(), self.X, self.labels) > nll_before:
                 work.vec[...] = before
                 self.wait *= 2
                 self.next_proposal = iteration + self.wait
@@ -444,7 +445,7 @@ class _KinkSearch:
         rows = np.flatnonzero((share < _DEAD_SHARE) | (share > 1.0 - _DEAD_SHARE))
         if rows.size == 0:
             rows = [self._least_useful_row(work, U)]
-        self.pending = (work.vec.copy(), dataset_nll(work.materialize(), self.X, self.labels))
+        self.pending = (work.vec.copy(), _dataset_nll(work.materialize(), self.X, self.labels))
         for j in rows:
             work.W[j], work.c[j] = self._best_row(work, j)
         work.vec[...] = _profile_fit(work, self.X, self.labels, choose_rows=True)[0].vec
@@ -568,8 +569,8 @@ def train(
     def record(iteration: int) -> None:
         nonlocal best_val, best
         model = work.materialize()
-        train_nll = dataset_nll(model, Xtr, dtr)
-        val_nll = dataset_nll(model, Xval, dval)
+        train_nll = _dataset_nll(model, Xtr, dtr)
+        val_nll = _dataset_nll(model, Xval, dval)
         history.append((iteration, train_nll, val_nll))
         if val_nll < best_val:
             best_val = val_nll

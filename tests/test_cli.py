@@ -325,15 +325,27 @@ class TestEval:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_metric_exits_4(self, tmp_path, capsys):
         model, data = overflowing_demo_input(tmp_path)
-        out = tmp_path / "metrics.json"
+        out = tmp_path / "nodir" / "metrics.json"
         code = main(
             [
                 "eval", "--model", str(model), "--ground-truth", str(model),
                 "--test", str(data), "--out", str(out),
             ]
         )
-        assert code == 4 and not out.exists()
+        assert code == 4 and not out.parent.exists()
         assert "metric 'cf_error' is not finite" in capsys.readouterr().err
+
+    def test_out_into_missing_directory(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "nodir" / "m.json"
+        truth = str(dataset_dir / "ground_truth.json")
+        code = main(
+            [
+                "eval", "--model", truth, "--ground-truth", truth,
+                "--test", str(dataset_dir / "test.csv"), "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["cf_error"] == 0.0
 
     def test_matches_library_oracle(self, dataset_dir, tmp_path, capsys):
         from domcf import oracle_counterfactual_error
@@ -621,17 +633,31 @@ class TestCounterfactual:
         assert np.all(d == 2)
         assert len(x) == 60
 
+    def test_out_into_missing_directory(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "nodir" / "cf.csv"
+        code = main(
+            [
+                "counterfactual",
+                "--model", str(dataset_dir / "ground_truth.json"),
+                "--data", str(dataset_dir / "test.csv"),
+                "--target-domain", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert len(serialize.read_dataset_csv(out)[0]) == 60
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_counterfactual_exits_4_writing_nothing(self, tmp_path, capsys):
         model, data = overflowing_demo_input(tmp_path)
-        out = tmp_path / "cf.csv"
+        out = tmp_path / "nodir" / "cf.csv"
         code = main(
             [
                 "counterfactual", "--model", str(model), "--data", str(data),
                 "--target-domain", "2", "--out", str(out),
             ]
         )
-        assert code == 4 and not out.exists()
+        assert code == 4 and not out.parent.exists()
         assert "counterfactual of sample 1 is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows", ["all", "none"])

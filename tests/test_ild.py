@@ -25,7 +25,7 @@ from domcf import (
     intervention_set,
     serialize,
 )
-from domcf.ild import _BLOCK_ROWS
+from domcf.ild import LOG_TWO_PI, _BLOCK_ROWS, _blocks, _label_runs
 from conftest import (
     family_with_intervention,
     kink_distance,
@@ -486,6 +486,26 @@ def reference_nll(model: ILDModel, X, labels) -> float:
     return -float(np.mean(ll))
 
 
+def row_major_nll(model: ILDModel, X, labels) -> float:
+    """``dataset_nll`` walked row-major through the public stage methods, in
+    the kernel's blocks and summation order: the bytes the kernel must keep."""
+    stages = model.g.stages[::-1]
+    const_log_det = sum(sum(s.log_dets) for s in stages if not isinstance(s, LeakyRelu))
+    sq_sum = log_det_sum = 0.0
+    for rows, d in _label_runs(labels):
+        f, Xd = model.scms[d - 1], X[rows]
+        for lo, hi in _blocks(len(Xd)):
+            v = Xd[lo:hi]
+            for stage in stages:
+                v = stage.inverse(v)
+                if isinstance(stage, LeakyRelu):
+                    log_det_sum += int(np.count_nonzero(v < 0.0)) * math.log(stage.slope)
+            eps = f.inverse(v)
+            sq_sum += float(np.sum(np.square(eps, out=eps)))
+        log_det_sum += len(Xd) * (const_log_det + f.log_abs_det())
+    return (0.5 * sq_sum + log_det_sum) / len(X) + 0.5 * model.dim * LOG_TWO_PI
+
+
 def multi_stage_model(gen: np.random.Generator, how: str) -> ILDModel:
     """A 4-dim, 3-domain model whose chain has several affine and leaky stages."""
     m, nd = 4, 3
@@ -548,6 +568,45 @@ class TestDatasetNllKernel:
         with pytest.raises(ValueError, match="non-empty"):
             dataset_nll(model, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
+    # float.hex of dataset_nll(multi_stage_model(default_rng(2401), how),
+    # *sample_rows(model, n, 11, labels)) for n in BLOCK_EDGES, recorded from
+    # the row-major kernel before blocks ran as (m, rows): histories and
+    # checkpoint selection read these bits, so a last-bit drift fails here.
+    GOLDEN = {
+        ("mixed", "sorted"): (
+            "0x1.00aa16cd3c2ffp+3", "0x1.00a28b9ec716cp+3",
+            "0x1.00a788b0fef14p+3", "0x1.012f80c40d513p+3",
+        ),
+        ("mixed", "shuffled"): (
+            "0x1.00aa16cd3c2fep+3", "0x1.00a28b9ec716cp+3",
+            "0x1.00a788b0fef14p+3", "0x1.012f80c40d513p+3",
+        ),
+        ("equivalent", "sorted"): (
+            "0x1.1b63a093be0cap+2", "0x1.1b5c6c4d78c88p+2",
+            "0x1.1b5ea241dcb64p+2", "0x1.1acc2decbd299p+2",
+        ),
+        ("equivalent", "shuffled"): (
+            "0x1.1b63a093be0cap+2", "0x1.1b5c6c4d78c88p+2",
+            "0x1.1b5ea241dcb64p+2", "0x1.1acc2decbd299p+2",
+        ),
+        ("canonical", "sorted"): (
+            "0x1.0718508884742p+2", "0x1.070ae2fbe70ddp+2",
+            "0x1.0710731d2fa99p+2", "0x1.073287c7f3350p+2",
+        ),
+        ("canonical", "shuffled"): (
+            "0x1.0718508884742p+2", "0x1.070ae2fbe70ddp+2",
+            "0x1.0710731d2fa99p+2", "0x1.073287c7f3350p+2",
+        ),
+    }
+
+    @pytest.mark.parametrize("how, labels", sorted(GOLDEN))
+    def test_pinned_bits(self, how, labels):
+        for n, expected in zip(BLOCK_EDGES, self.GOLDEN[how, labels]):
+            model = multi_stage_model(np.random.default_rng(2401), how)
+            X, d = sample_rows(model, n, 11, labels)
+            assert dataset_nll(model, X, d).hex() == expected
+            assert row_major_nll(model, X, d).hex() == expected
+
 
 class TestBlockedCounterfactuals:
     """Blocked counterfactuals equal the unblocked formula bit for bit."""
@@ -582,3 +641,35 @@ class TestBlockedCounterfactuals:
                 assert cf.shape == (4,)
                 assert cf.tobytes() == self.unblocked(model, x, 2, t).tobytes()
             assert model.counterfactuals(x, 2).shape == (3, 4)
+
+
+class TestKernelsNeverWriteTheirInput:
+    """Read-only inputs in any memory layout give the row-major bytes.
+
+    The kernels transpose each block to ``(m, rows)`` and work in place on
+    their own arrays; a transpose that came back as a view of the caller's
+    rows would be written through, which a read-only input turns into an error.
+    """
+
+    LAYOUTS = {
+        "C": np.copy,
+        "Fortran": np.asfortranarray,
+        "strided": lambda X: np.repeat(X, 2, axis=0)[::2],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 2 * _BLOCK_ROWS + 1])
+    def test_read_only_input_gives_row_major_bytes(self, rng, layout, m, n):
+        model = random_model(rng, 1, 3) if m == 1 else multi_stage_model(rng, "equivalent")
+        X, d = probe_points(model, n, seed=5)
+        frozen = self.LAYOUTS[layout](X)
+        frozen.setflags(write=False)
+        assert dataset_nll(model, frozen, d).hex() == row_major_nll(model, X, d).hex()
+        for source in (1, 3):
+            expected = [TestBlockedCounterfactuals.unblocked(model, X, source, t) for t in (1, 2, 3)]
+            assert model.counterfactuals(frozen, source).tobytes() == np.stack(expected).tobytes()
+            assert model.counterfactual(frozen, source, 2).tobytes() == expected[1].tobytes()
+        assert model.counterfactual(frozen[0], 2, 1).tobytes() == (
+            TestBlockedCounterfactuals.unblocked(model, X[0], 2, 1).tobytes()
+        )

@@ -67,15 +67,43 @@ FIT = (
 )
 
 
-def test_fit_is_identical_at_one_and_two_blas_threads():
-    histories = []
+def run_at_one_and_two_threads(code: str) -> list[str]:
+    """``code``'s stdout in fresh interpreters at OPENBLAS_NUM_THREADS 1 and 2."""
+    outputs = []
     for threads in ("1", "2"):
         env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
         env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
         done = subprocess.run(
-            [sys.executable, "-c", FIT], env=env, capture_output=True, text=True,
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True, timeout=300,
         )
-        histories.append(done.stdout)
+        outputs.append(done.stdout)
+    return outputs
+
+
+def test_fit_is_identical_at_one_and_two_blas_threads():
+    histories = run_at_one_and_two_threads(FIT)
     assert histories[0] == histories[1]
     assert histories[0].count("(") == 600 // 100 + 1
+
+
+# Both evaluation kernels on a 10-dim ground truth, 3 x 5000 rows in blocks
+# (one label out of order); prints the NLL's float.hex and a digest of every
+# counterfactual's bytes.
+KERNELS = (
+    "import hashlib, domcf, numpy as np; "
+    "from domcf import GroundTruthSpec, dataset_nll, generate_ground_truth; "
+    "model = generate_ground_truth(GroundTruthSpec(dim=10, num_domains=3, "
+    "intervention=(9, 10), n_train=10, n_val=10, n_test=10, seed=5)); "
+    "X = np.concatenate([model.sample(d, 5000, seed=d) for d in (1, 2, 3)]); "
+    "labels = np.repeat([1, 2, 3], 5000); labels[-1] = 1; "
+    "cfs = [model.counterfactuals(X, d) for d in (1, 2, 3)]; "
+    "print(dataset_nll(model, X, labels).hex(), "
+    "*(hashlib.sha256(cf.tobytes()).hexdigest() for cf in cfs))"
+)
+
+
+def test_kernels_are_identical_at_one_and_two_blas_threads():
+    outputs = run_at_one_and_two_threads(KERNELS)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 4
