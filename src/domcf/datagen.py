@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ild import ILDModel, _label_runs, _labeled_rows, as_sample_arrays
 from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
-from .scm import AffineSCM, DimensionMismatch, intervention_set
+from .scm import AffineSCM, DimensionMismatch, _integer, intervention_set
 
 logger = logging.getLogger(__name__)
 
@@ -45,10 +44,11 @@ class GroundTruthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        indices = tuple(self.intervention)
-        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in indices):
-            raise ValueError(f"intervention indices must be integers, got {indices}")
-        object.__setattr__(self, "intervention", tuple(sorted(map(int, indices))))
+        for name in ("dim", "num_domains", "n_train", "n_val", "n_test", "seed"):
+            _integer(getattr(self, name), name + " must be an integer, got {!r}")
+        error = "intervention indices must be integers, got {!r}"
+        indices = sorted(_integer(i, error) for i in self.intervention)
+        object.__setattr__(self, "intervention", tuple(indices))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_domains < 2:

@@ -20,6 +20,7 @@ from .datagen import (
     sample_dataset,
 )
 from .ild import dataset_nll
+from .scm import _integer
 from .serialize import write_csv
 from .train import TrainableILD, TrainConfig, VariantSpec, train
 
@@ -42,7 +43,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
-        if self.n_seeds < 1:
+        if _integer(self.n_seeds, "n_seeds must be an integer, got {!r}") < 1:
             raise ValueError("n_seeds must be >= 1")
         if not self.variants:
             raise ValueError("need at least one variant")

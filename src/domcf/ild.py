@@ -22,12 +22,12 @@ batch-sized temporaries alive at once, and the allocator serves each from
 fresh pages, whose minor page faults can cost more than the arithmetic;
 block-sized temporaries are reused from the heap.  Rows never mix in a
 block, so a blocked counterfactual equals the full-batch one bit for bit.
-Both kernels run a block as ``(m, rows)`` (``mixing._walk_columns``), so
-each product is ``G @ v`` and each bias add runs along rows; every step
-rounds as its row-major form does.  The last product stays row-major,
-written into its destination: ``F^{-1}`` in the likelihood, so the squared
-noise sums in row order (an ``(m, rows)`` sum moves the last bit), and the
-output layer in a counterfactual, so no block is copied.
+Both kernels run a block as ``(m, rows)`` on the chain's one stage walk,
+``mixing._walk_columns``, so each product is ``G @ v`` and each bias add runs
+along rows; every step rounds as its row-major form does.  The last product
+stays row-major, written into its destination: ``F^{-1}`` in the likelihood,
+so the squared noise sums in row order (an ``(m, rows)`` sum moves the last
+bit), and the output layer in a counterfactual, so no block is copied.
 
 Labeled samples ``(X, labels)`` follow one contract wherever they enter:
 ``_labeled_rows`` checks them (its docstring lists the errors), and
@@ -139,7 +139,7 @@ class ILDModel:
         mechanisms' cached matrices); the batch then goes through
         ``g(A g^{-1}(x) + c)`` with no solve, in row blocks.
         """
-        return self._transport(x, d, (d_prime,))[0]
+        return self.counterfactuals(x, d, (d_prime,))[0]
 
     def counterfactuals(self, x, d: int, targets: tuple[int, ...] | None = None) -> np.ndarray:
         """Counterfactuals of ``x`` from ``d`` into each target, from one abduction.
@@ -150,11 +150,6 @@ class ILDModel:
         ``(len(targets),) + x.shape``.
         """
         targets = range(1, self.num_domains + 1) if targets is None else targets
-        return self._transport(x, d, targets)
-
-    def _transport(self, x, d: int, targets) -> np.ndarray:
-        """``g(A_t g^{-1}(x) + c_t)`` for each target ``t``, block by block into
-        one output; a single vector is a batch of one."""
         walks = [(_AffineStage(*self._latent_map(d, t), None, ()), *self.g.stages) for t in targets]
         x = _check_vector(x, self.dim)
         batch = x.reshape(-1, self.dim)

@@ -15,9 +15,9 @@ fused into one cached map ``y = G x + b`` with its inverse ``G^{-1}``,
 composed from the layers' own cached matrices, and each leaky ReLU is a stage
 of its own.  A leaky ReLU is ``max(x, s x)`` (``min`` for ``s > 1``),
 which equals the two-branch form bit for bit.
-``LayerChain.forward``, ``inverse`` and ``inverse_and_log_det`` take rows
-``(n, m)``; the kernels of ``domcf.ild`` walk the stages on ``(m, rows)``
-blocks (``_walk_columns``).  Cached matrices keep their memory order:
+Every pass, ``LayerChain``'s and the kernels' of ``domcf.ild``, is one walk
+of the stages on rows transposed to ``(m, rows)`` (``_walk_columns``), each
+step rounding as its row-major form.  Cached matrices keep their memory order:
 ``G @ v`` is as fast for either, and the rounding of a one-row block's
 matrix-vector product depends on it.
 """
@@ -196,22 +196,14 @@ class _AffineStage:
             G, b, G_inv = G_l @ G, G_l @ b + b_l, G_inv @ G_inv_l
         return cls(G, b, G_inv, tuple(layer.log_abs_det(None) for layer in run))
 
-    def forward(self, x):
-        out = x @ self.G.T
-        out += self.b
-        return out
-
-    def inverse(self, y):
-        return (y - self.b) @ self.G_inv.T
-
 
 def _walk_columns(v, stages, inverse: bool, out=None, log_dets=None):
     """Run ``v``, a row block transposed to ``(m, rows)``, through ``stages`` in
     the order given, forward or each inverted, never writing ``v``: ``G @ v``
     and ``v + b[:, None]``, each rounding as its row-major form.  With ``out``
-    (rows, m), a last affine stage writes its product into ``out`` row-major,
-    ``v.T @ G.T`` (a last leaky stage is copied in).  Each leaky stage appends
-    its negative count times its log-slope to ``log_dets``."""
+    (rows, m), a last affine stage writes ``v.T @ G.T`` into ``out`` (the
+    result of a leaky-last or empty walk is copied in).  Each leaky stage
+    appends its negative count times its log-slope to ``log_dets``."""
     for i, s in enumerate(stages):
         if isinstance(s, LeakyRelu):
             v = s.inverse(v) if inverse else s.forward(v)
@@ -245,7 +237,7 @@ class LayerChain:
 
     An exact likelihood needs one reverse pass: ``inverse_and_log_det``.
     ``forward``, ``inverse`` and ``inverse_and_log_det`` walk the cached
-    stages (see the module docstring), not the layers.
+    stages (see the module docstring) into new arrays, not the layers.
     """
 
     dim: int
@@ -272,38 +264,40 @@ class LayerChain:
         return tuple(stages)
 
     def forward(self, x):
-        v = _check_vector(x, self.dim)
-        for stage in self.stages:
-            v = stage.forward(v)
-        return v
+        return self._walk(x, self.stages, inverse=False)
 
     def inverse(self, y):
-        v = _check_vector(y, self.dim)
-        for stage in reversed(self.stages):
-            v = stage.inverse(v)
-        return v
+        return self._walk(y, self.stages[::-1], inverse=True)
+
+    def _walk(self, x, stages, inverse: bool) -> np.ndarray:
+        """``x`` through ``stages`` as one ``(m, rows)`` walk, into a new C-ordered array."""
+        x = _check_vector(x, self.dim)
+        out = np.empty(x.shape)
+        _walk_columns(x.reshape(-1, self.dim).T, stages, inverse, out=out.reshape(-1, self.dim))
+        return out
 
     def inverse_and_log_det(self, y):
         """``x = g^{-1}(y)`` and log |det J| of the forward map at ``x``, in one pass.
 
-        Walks the stages once in reverse; each leaky ReLU's log-det is taken
-        at its forward input, the value the inverse pass has just produced,
+        Walks the stages once in reverse, one ``_walk_columns`` call each; a
+        leaky ReLU's log-det is taken at its forward input, the stage's output,
         and affine layers contribute their constants.  The per-layer terms are
         summed in forward order.  Returns ``(x, scalar)`` for a single input
         and ``(x, (n,) array)`` for a batch.
         """
-        v = _check_vector(y, self.dim)
-        terms = []
+        y = _check_vector(y, self.dim)
+        v, terms = y.reshape(-1, self.dim).T, []
         for stage in reversed(self.stages):
-            v = stage.inverse(v)
+            v = _walk_columns(v, (stage,), inverse=True)
             if isinstance(stage, _AffineStage):
                 terms.extend(reversed(stage.log_dets))
             else:
-                terms.append(stage.log_abs_det(v))
-        total = 0.0 if v.ndim == 1 else np.zeros(v.shape[0])
+                terms.append(stage.log_abs_det(v.T))
+        total = np.zeros(v.shape[1])
         for term in reversed(terms):
             total = total + term
-        return v, (float(total) if v.ndim == 1 else total)
+        x = np.array(v.T, order="C").reshape(y.shape)  # a copy, also of the empty chain's y
+        return x, (float(total[0]) if y.ndim == 1 else total)
 
     def append_right(self, layer: Layer) -> LayerChain:
         """New chain applying ``layer`` before this chain (input side)."""

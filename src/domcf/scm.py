@@ -11,6 +11,7 @@ internal numpy arrays are 0-based.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _integer(value, error: str) -> int:
+    """``value`` as an ``int`` if it is a ``numbers.Integral`` but no ``bool``
+    (numpy integers pass), else ``ValueError(error.format(value))``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(error.format(value))
+    return int(value)
 
 
 def _check_vector(x, dim: int) -> np.ndarray:

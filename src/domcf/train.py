@@ -47,7 +47,6 @@ reads each group of mechanism rows off one Cholesky factor.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -57,7 +56,7 @@ import numpy as np
 # benchmarks/workloads.py calls ``domcf.train.dataset_nll``.
 from .ild import ILDModel, LOG_TWO_PI, _dataset_nll, _labeled_rows, dataset_nll  # noqa: F401
 from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
-from .scm import AffineSCM
+from .scm import AffineSCM, _integer
 
 LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.5
@@ -94,12 +93,11 @@ class VariantSpec:
         if self.kind == "dense" and self.k is not None:
             raise ValueError(f"'dense' takes no k, got k={self.k}")
         if self.kind == "can":
-            integral = isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool)
-            if not integral or self.k < 0:
-                raise ValueError(
-                    f"'can' needs an integer target intervention size k >= 0, got k={self.k}"
-                )
-            object.__setattr__(self, "k", int(self.k))
+            error = "'can' needs an integer target intervention size k >= 0, got k={!r}"
+            k = _integer(self.k, error)
+            if k < 0:
+                raise ValueError(error.format(k))
+            object.__setattr__(self, "k", k)
 
     def label(self) -> str:
         return f"can{self.k}" if self.kind == "can" else "dense"
@@ -115,6 +113,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "iterations", "eval_every", "seed"):
+            _integer(getattr(self, name), name + " must be an integer, got {!r}")
         if self.batch_size <= 0 or self.eval_every <= 0 or self.iterations < 0:
             raise ValueError("batch_size and eval_every must be positive, iterations >= 0")
 

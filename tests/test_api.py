@@ -2,6 +2,7 @@
 import dataclasses
 import types
 
+import numpy as np
 import pytest
 
 import domcf
@@ -44,3 +45,27 @@ def test_domcf_train_names_the_module():
 @pytest.mark.parametrize("cls", CONFIG_FIELDS, ids=lambda cls: cls.__name__)
 def test_config_fields_are_pinned(cls):
     assert tuple(f.name for f in dataclasses.fields(cls)) == CONFIG_FIELDS[cls]
+
+
+# Each config dataclass's integer fields, with the keyword arguments of a valid instance.
+INTEGER_FIELDS = {
+    domcf.GroundTruthSpec: (
+        ("dim", "num_domains", "n_train", "n_val", "n_test", "seed"), {"dim": 3, "num_domains": 2}
+    ),
+    domcf.TrainConfig: (("batch_size", "iterations", "eval_every", "seed"), {}),
+    domcf.ExperimentConfig: (("n_seeds",), {"ground_truth": domcf.GroundTruthSpec(3, 2)}),
+}
+INTEGER_CASES = [(cls, name) for cls, (names, _) in INTEGER_FIELDS.items() for name in names]
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 1.5, 10.5, 2.0, "3", None])
+@pytest.mark.parametrize("cls, name", INTEGER_CASES, ids=lambda v: getattr(v, "__name__", v))
+def test_integer_fields_refuse_other_values(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        cls(**{**INTEGER_FIELDS[cls][1], name: value})
+
+
+@pytest.mark.parametrize("cls, name", INTEGER_CASES, ids=lambda v: getattr(v, "__name__", v))
+def test_integer_fields_accept_numpy_integers(cls, name):
+    valid = cls(**INTEGER_FIELDS[cls][1])
+    assert cls(**{**INTEGER_FIELDS[cls][1], name: np.int64(getattr(valid, name))}) == valid

@@ -486,20 +486,48 @@ def reference_nll(model: ILDModel, X, labels) -> float:
     return -float(np.mean(ll))
 
 
+def row_major_walk(chain: LayerChain, x, inverse: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``chain``'s stages walked row-major, with the formulas the package used
+    before every pass ran as ``(m, rows)``: ``x @ G.T + b``, ``(y - b) @
+    G_inv.T`` and the leaky ReLU.  Returns the result and each stage's output
+    in walk order: the bytes ``LayerChain`` and the kernels must keep."""
+    v, outputs = np.asarray(x, dtype=float), []
+    for stage in chain.stages[::-1] if inverse else chain.stages:
+        if isinstance(stage, LeakyRelu):
+            v = stage.inverse(v) if inverse else stage.forward(v)
+        elif inverse:
+            v = (v - stage.b) @ stage.G_inv.T
+        else:
+            v = v @ stage.G.T + stage.b
+        outputs.append(v)
+    return v, outputs
+
+
+def row_major_inverse_and_log_det(chain: LayerChain, y) -> tuple[np.ndarray, np.ndarray]:
+    """``row_major_walk``'s inverse with per-row log-dets summed in forward order."""
+    x, outputs = row_major_walk(chain, y, inverse=True)
+    terms = []
+    for stage, v in zip(chain.stages[::-1], outputs):
+        terms.extend([stage.log_abs_det(v)] if isinstance(stage, LeakyRelu) else stage.log_dets[::-1])
+    total = np.zeros(x.shape[:-1])
+    for term in reversed(terms):
+        total = total + term
+    return x, total
+
+
 def row_major_nll(model: ILDModel, X, labels) -> float:
-    """``dataset_nll`` walked row-major through the public stage methods, in
-    the kernel's blocks and summation order: the bytes the kernel must keep."""
+    """``dataset_nll`` walked row-major (``row_major_walk``), in the kernel's
+    blocks and summation order: the bytes the kernel must keep."""
     stages = model.g.stages[::-1]
     const_log_det = sum(sum(s.log_dets) for s in stages if not isinstance(s, LeakyRelu))
     sq_sum = log_det_sum = 0.0
     for rows, d in _label_runs(labels):
         f, Xd = model.scms[d - 1], X[rows]
         for lo, hi in _blocks(len(Xd)):
-            v = Xd[lo:hi]
-            for stage in stages:
-                v = stage.inverse(v)
+            v, outputs = row_major_walk(model.g, Xd[lo:hi], inverse=True)
+            for stage, out in zip(stages, outputs):
                 if isinstance(stage, LeakyRelu):
-                    log_det_sum += int(np.count_nonzero(v < 0.0)) * math.log(stage.slope)
+                    log_det_sum += int(np.count_nonzero(out < 0.0)) * math.log(stage.slope)
             eps = f.inverse(v)
             sq_sum += float(np.sum(np.square(eps, out=eps)))
         log_det_sum += len(Xd) * (const_log_det + f.log_abs_det())
@@ -614,7 +642,8 @@ class TestBlockedCounterfactuals:
     @staticmethod
     def unblocked(model: ILDModel, x, d: int, t: int) -> np.ndarray:
         A, c = model._latent_map(d, t)
-        return model.g.forward(model.g.inverse(x) @ A.T + c)
+        z = row_major_walk(model.g, x, inverse=True)[0]
+        return row_major_walk(model.g, z @ A.T + c, inverse=False)[0]
 
     @pytest.mark.parametrize("how", ["mixed", "equivalent", "canonical"])
     def test_bytes_equal_the_full_batch_formula(self, rng, how):
@@ -646,9 +675,10 @@ class TestBlockedCounterfactuals:
 class TestKernelsNeverWriteTheirInput:
     """Read-only inputs in any memory layout give the row-major bytes.
 
-    The kernels transpose each block to ``(m, rows)`` and work in place on
-    their own arrays; a transpose that came back as a view of the caller's
-    rows would be written through, which a read-only input turns into an error.
+    The kernels and the chain passes transpose rows to ``(m, rows)`` and work
+    in place on their own arrays; a transpose that came back as a view of the
+    caller's rows would be written through, which a read-only input turns into
+    an error.
     """
 
     LAYOUTS = {
@@ -673,3 +703,10 @@ class TestKernelsNeverWriteTheirInput:
         assert model.counterfactual(frozen[0], 2, 1).tobytes() == (
             TestBlockedCounterfactuals.unblocked(model, X[0], 2, 1).tobytes()
         )
+        for x, rows in ((frozen, X), (frozen[0], X[0])):
+            assert model.g.forward(x).tobytes() == row_major_walk(model.g, rows, False)[0].tobytes()
+            assert model.g.inverse(x).tobytes() == row_major_walk(model.g, rows, True)[0].tobytes()
+            z, log_det = model.g.inverse_and_log_det(x)
+            z_ref, log_det_ref = row_major_inverse_and_log_det(model.g, rows)
+            assert z.tobytes() == z_ref.tobytes()
+            assert np.asarray(log_det).tobytes() == log_det_ref.tobytes()

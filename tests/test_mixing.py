@@ -113,6 +113,14 @@ class TestInverseAndLogDet:
             LayerChain(3).inverse_and_log_det(np.ones(2))
 
 
+@pytest.mark.parametrize("layers", [(), (LeakyRelu(0.5),)], ids=["empty", "leaky"])
+def test_passes_never_return_the_callers_array(layers):
+    chain = LayerChain(2, layers)
+    for y in (np.array([[1.0, -2.0], [-3.0, 4.0]]), np.array([1.0, -2.0])):
+        for out in (chain.forward(y), chain.inverse(y), chain.inverse_and_log_det(y)[0]):
+            assert not np.shares_memory(out, y)
+
+
 def relative_error(got, want) -> float:
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
