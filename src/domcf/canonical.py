@@ -14,7 +14,8 @@ The family is held as stacked inverse maps ``F_inv`` (nd, m, m) and biases
    because the coordinates each swap passes over are non-intervened), and
    right-compose ``g`` with one ``Permute`` layer per swap.
 3. Undo the rebasing (``f_d -> f_1 o f_d``, ``g -> g o f_1^{-1}``), one more
-   product; mechanisms are built only for the two returned models.
+   product.  Each of the two returned families is built and checked as one
+   stack, and the final intervention set is read off the restored stack.
 
 Every step preserves all domain counterfactuals, every domain's observed
 distribution, and the intervention set size.
@@ -30,11 +31,10 @@ from .mixing import LayerChain, Permute
 from .scm import (
     DEFAULT_INTERVENTION_TOL,
     TRIANGULARITY_TOL,
-    AffineSCM,
     InterventionSet,
+    _family_from_inverse,
     _stack,
     _stacked_intervention_set,
-    intervention_set,
 )
 
 class TriangularityBroken(ValueError):
@@ -54,12 +54,6 @@ class CanonicalizationReport:
 
 def _trailing_block(m: int, k: int) -> tuple[int, ...]:
     return tuple(range(m - k + 1, m + 1))
-
-
-def is_canonical(model: ILDModel) -> tuple[bool, InterventionSet]:
-    """Whether the intervention set is exactly the trailing block of its size."""
-    iset = intervention_set(model.scms)
-    return iset.indices == _trailing_block(model.dim, iset.size), iset
 
 
 def canonicalize(model: ILDModel) -> tuple[ILDModel, ILDModel, CanonicalizationReport]:
@@ -106,12 +100,13 @@ def canonicalize(model: ILDModel) -> tuple[ILDModel, ILDModel, CanonicalizationR
     swap_layers = tuple(Permute.swap(m, j, j_prime) for j, j_prime in reversed(swaps))
     g = LayerChain(m, swap_layers + (f1,) + model.g.layers)
 
-    identity_canonical = ILDModel(g, tuple(map(AffineSCM.from_inverse, F_inv, b)))
-    restored = map(AffineSCM.from_inverse, F_inv @ f1.inverse_matrix, b @ f1.matrix.T + f1.b)
-    canonical = ILDModel(g.append_right(f1.invert()), tuple(restored))
+    identity_canonical = ILDModel(g, _family_from_inverse(F_inv, b)[0])
+    b = b @ f1.matrix.T + f1.b
+    restored, F_inv = _family_from_inverse(F_inv @ f1.inverse_matrix, b)
+    canonical = ILDModel(g.append_right(f1.invert()), restored)
     steps.append("step3: restored domain 1's original mechanism")
 
-    final = intervention_set(canonical.scms)
+    final = _stacked_intervention_set(F_inv, b, DEFAULT_INTERVENTION_TOL)
     if final.indices != _trailing_block(m, original.size):
         raise TriangularityBroken(
             f"intervention set {original.indices} became {final.indices}, not the "

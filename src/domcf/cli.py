@@ -115,8 +115,7 @@ def _parse_generate(config, seed: int | None) -> GroundTruthSpec:
     _check_keys(config, ("ground_truth", "output_dir"), "config")
     if "ground_truth" not in config:
         raise ConfigError("config needs a 'ground_truth' section")
-    spec = _from_json(GroundTruthSpec, config["ground_truth"], "ground_truth")
-    return spec if seed is None else dataclasses.replace(spec, seed=seed)
+    return _with_seed(_from_json(GroundTruthSpec, config["ground_truth"], "ground_truth"), seed)
 
 
 def _parse_train(config, seed: int | None) -> tuple[VariantSpec, TrainConfig]:
@@ -125,16 +124,25 @@ def _parse_train(config, seed: int | None) -> tuple[VariantSpec, TrainConfig]:
         raise ConfigError("config needs 'dataset_dir'")
     variant = _from_json(VariantSpec, config.get("variant", {"kind": "dense"}), "variant")
     train_cfg = _from_json(TrainConfig, config.get("train", {}), "train")
-    return variant, (train_cfg if seed is None else dataclasses.replace(train_cfg, seed=seed))
+    return variant, _with_seed(train_cfg, seed)
 
 
 def _parse_experiment(config, seed: int | None) -> ExperimentConfig:
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     _check_keys(config, fields + ["output_dir"], "config")
     exp = _from_json(ExperimentConfig, {k: config[k] for k in fields if k in config}, "config")
+    return dataclasses.replace(exp, ground_truth=_with_seed(exp.ground_truth, seed))
+
+
+def _with_seed(spec, seed: int | None):
+    """``spec`` with its ``seed`` replaced by ``--seed`` (``None`` keeps it); a
+    seed that ``spec`` refuses is a config error."""
     if seed is None:
-        return exp
-    return dataclasses.replace(exp, ground_truth=dataclasses.replace(exp.ground_truth, seed=seed))
+        return spec
+    try:
+        return dataclasses.replace(spec, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad --seed: {exc}") from exc
 
 
 def _out_dir(config: dict, args) -> Path:

@@ -44,23 +44,19 @@ class GroundTruthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "num_domains", "n_train", "n_val", "n_test", "seed"):
-            _integer(getattr(self, name), name + " must be an integer, got {!r}")
+        for name, low in (
+            ("dim", 1), ("num_domains", 2), ("n_train", 0), ("n_val", 0), ("n_test", 0), ("seed", 0)
+        ):
+            _integer(getattr(self, name), f"{name} must be an integer >= {low}, got {{!r}}", low)
         error = "intervention indices must be integers, got {!r}"
         indices = sorted(_integer(i, error) for i in self.intervention)
         object.__setattr__(self, "intervention", tuple(indices))
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.num_domains < 2:
-            raise ValueError("need at least two domains")
         if len(set(self.intervention)) != len(self.intervention):
             raise ValueError(f"intervention indices must be distinct, got {self.intervention}")
         if any(not 1 <= i <= self.dim for i in self.intervention):
             raise ValueError(
                 f"intervention indices must lie in [1, {self.dim}], got {self.intervention}"
             )
-        if min(self.n_train, self.n_val, self.n_test) < 0:
-            raise ValueError("sample counts must be >= 0")
 
 
 @dataclass(frozen=True)

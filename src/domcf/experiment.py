@@ -43,8 +43,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
-        if _integer(self.n_seeds, "n_seeds must be an integer, got {!r}") < 1:
-            raise ValueError("n_seeds must be >= 1")
+        _integer(self.n_seeds, "n_seeds must be an integer >= 1, got {!r}", 1)
         if not self.variants:
             raise ValueError("need at least one variant")
         if self.train.seed != 0:

@@ -43,12 +43,32 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
-def _integer(value, error: str) -> int:
+def _integer(value, error: str, low: int | None = None) -> int:
     """``value`` as an ``int`` if it is a ``numbers.Integral`` but no ``bool``
-    (numpy integers pass), else ``ValueError(error.format(value))``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    (numpy integers pass) and not below ``low`` (when given), else
+    ``ValueError(error.format(value))``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or (low is not None and value < low):
         raise ValueError(error.format(value))
     return int(value)
+
+
+def _check_fields(L: np.ndarray, S: np.ndarray, b: np.ndarray, batch_ndim: int) -> None:
+    """Check mechanism fields stacked over ``batch_ndim`` leading axes: ``L``
+    (..., m, m) finite and strictly lower triangular, ``S`` and ``b`` (..., m)
+    finite, ``S`` strictly positive."""
+    if L.ndim != batch_ndim + 2 or L.shape[-1] != L.shape[-2]:
+        raise DimensionMismatch(f"L must be square, got shape {L.shape}")
+    if S.shape != L.shape[:-1] or b.shape != L.shape[:-1]:
+        raise DimensionMismatch(
+            f"S and b must have shape {L.shape[:-1]}, got {S.shape} and {b.shape}"
+        )
+    if not (np.isfinite(L).all() and np.isfinite(S).all() and np.isfinite(b).all()):
+        raise ValueError("L, S and b must be finite")
+    if np.any(np.triu(L) != 0.0):
+        raise NotLowerTriangular("L must be strictly lower triangular")
+    if np.any(S <= 0.0):
+        raise NonPositiveDiagonal("S must be strictly positive")
 
 
 def _check_vector(x, dim: int) -> np.ndarray:
@@ -78,22 +98,8 @@ class AffineSCM:
     b: np.ndarray
 
     def __post_init__(self):
-        L = _frozen_array(self.L)
-        S = _frozen_array(self.S)
-        b = _frozen_array(self.b)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise DimensionMismatch(f"L must be square, got shape {L.shape}")
-        m = L.shape[0]
-        if S.shape != (m,) or b.shape != (m,):
-            raise DimensionMismatch(
-                f"S and b must have shape ({m},), got {S.shape} and {b.shape}"
-            )
-        if not (np.isfinite(L).all() and np.isfinite(S).all() and np.isfinite(b).all()):
-            raise ValueError("L, S and b must be finite")
-        if np.any(np.triu(L) != 0.0):
-            raise NotLowerTriangular("L must be strictly lower triangular")
-        if np.any(S <= 0.0):
-            raise NonPositiveDiagonal("S must be strictly positive")
+        L, S, b = _frozen_array(self.L), _frozen_array(self.S), _frozen_array(self.b)
+        _check_fields(L, S, b, batch_ndim=0)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "b", b)
@@ -134,13 +140,10 @@ class AffineSCM:
 
     @classmethod
     def from_inverse(cls, F_inv, b) -> AffineSCM:
-        """The mechanism whose inverse map is ``F_inv``, with no solve.
-
-        ``S = 1/diag(F_inv)`` and ``L = I - diag(S) F_inv`` below the diagonal;
-        the upper triangle of ``F_inv`` is ignored.
-        """
-        S = 1.0 / np.diag(F_inv)
-        return cls(np.tril(np.eye(len(S)) - S[:, None] * F_inv, k=-1), S, b)
+        """The mechanism whose inverse map is ``F_inv``, with no solve: the
+        family of one of ``_family_from_inverse``."""
+        (f,), _ = _family_from_inverse(np.asarray(F_inv, dtype=float)[None], np.asarray(b)[None])
+        return f
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -182,15 +185,6 @@ class AffineSCM:
         """The mechanism computing ``eps = F^{-1}(z - b)`` as an AffineSCM."""
         return AffineSCM.from_inverse(self.matrix, -(self.inverse_matrix @ self.b))
 
-    def allclose(self, other: AffineSCM, tol: float = 1e-12) -> bool:
-        """Field-level closeness of (L, S, b)."""
-        return (
-            self.dim == other.dim
-            and np.allclose(self.L, other.L, rtol=0.0, atol=tol)
-            and np.allclose(self.S, other.S, rtol=0.0, atol=tol)
-            and np.allclose(self.b, other.b, rtol=0.0, atol=tol)
-        )
-
 
 def compose(outer: AffineSCM, inner: AffineSCM) -> AffineSCM:
     """The mechanism ``outer(inner(eps))``: ``F = F_out F_in``, ``b = F_out b_in + b_out``.
@@ -202,6 +196,39 @@ def compose(outer: AffineSCM, inner: AffineSCM) -> AffineSCM:
     return AffineSCM.from_inverse(
         inner.inverse_matrix @ outer.inverse_matrix, outer.matrix @ inner.b + outer.b
     )
+
+
+def _family(L, S, b) -> tuple[tuple[AffineSCM, ...], np.ndarray]:
+    """The mechanisms ``(L[d], S[d], b[d])`` of the stacks ``L`` (nd, m, m),
+    ``S`` and ``b`` (nd, m), and their inverse maps as one stack (nd, m, m).
+
+    The stacks are copied, frozen and checked once, as ``AffineSCM`` checks
+    one mechanism.  Each member's fields are read-only views of the stacks,
+    and its cached ``inverse_matrix`` is a view of the returned stack, which
+    evaluates the cached property's expression elementwise, so it has the
+    same bits.
+    """
+    L, S, b = _frozen_array(L), _frozen_array(S), _frozen_array(b)
+    _check_fields(L, S, b, batch_ndim=1)
+    F_inv = (np.eye(L.shape[-1]) - L) / S[..., None]
+    F_inv.setflags(write=False)
+    family = []
+    for fields in zip(L, S, b, F_inv):
+        f = object.__new__(AffineSCM)
+        f.__dict__.update(zip(("L", "S", "b", "inverse_matrix"), fields))
+        family.append(f)
+    return tuple(family), F_inv
+
+
+def _family_from_inverse(F_inv: np.ndarray, b) -> tuple[tuple[AffineSCM, ...], np.ndarray]:
+    """``_family`` of the mechanisms whose inverse maps are the stack ``F_inv``
+    (nd, m, m), with biases ``b`` (nd, m).
+
+    ``S = 1/diag(F_inv)`` and ``L = I - diag(S) F_inv`` below the diagonal;
+    the upper triangles of ``F_inv`` are ignored.
+    """
+    S = 1.0 / np.diagonal(F_inv, axis1=-2, axis2=-1)
+    return _family(np.tril(np.eye(S.shape[-1]) - S[..., None] * F_inv, k=-1), S, b)
 
 
 @dataclass(frozen=True)

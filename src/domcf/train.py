@@ -56,7 +56,7 @@ import numpy as np
 # benchmarks/workloads.py calls ``domcf.train.dataset_nll``.
 from .ild import ILDModel, LOG_TWO_PI, _dataset_nll, _labeled_rows, dataset_nll  # noqa: F401
 from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
-from .scm import AffineSCM, _integer
+from .scm import _family, _integer
 
 LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.5
@@ -94,10 +94,7 @@ class VariantSpec:
             raise ValueError(f"'dense' takes no k, got k={self.k}")
         if self.kind == "can":
             error = "'can' needs an integer target intervention size k >= 0, got k={!r}"
-            k = _integer(self.k, error)
-            if k < 0:
-                raise ValueError(error.format(k))
-            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "k", _integer(self.k, error, 0))
 
     def label(self) -> str:
         return f"can{self.k}" if self.kind == "can" else "dense"
@@ -113,10 +110,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "iterations", "eval_every", "seed"):
-            _integer(getattr(self, name), name + " must be an integer, got {!r}")
-        if self.batch_size <= 0 or self.eval_every <= 0 or self.iterations < 0:
-            raise ValueError("batch_size and eval_every must be positive, iterations >= 0")
+        for name, low in (("batch_size", 1), ("iterations", 0), ("eval_every", 1), ("seed", 0)):
+            _integer(getattr(self, name), f"{name} must be an integer >= {low}, got {{!r}}", low)
 
 
 class TrainableILD:
@@ -229,7 +224,7 @@ class TrainableILD:
     def materialize(self) -> ILDModel:
         """The current parameters as an immutable model."""
         L, logS, b = self.mechanism_arrays()
-        scms = tuple(map(AffineSCM, L, np.exp(logS), b))
+        scms, _ = _family(L, np.exp(logS), b)
         G = np.linalg.inv(self.W)
         mix = (LeakyRelu(LEAKY_SLOPE), AffineDense(G, -G @ self.c))
         return ILDModel(LayerChain(self.dim, mix), scms)

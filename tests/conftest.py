@@ -7,7 +7,16 @@ roundoff rather than genuine disagreement.
 from __future__ import annotations
 
 # domcf before numpy, so the suite runs under the package's BLAS thread default.
-from domcf import AffineDense, AffineSCM, ILDModel, LayerChain, LeakyRelu, Permute
+from domcf import (
+    AffineDense,
+    AffineSCM,
+    ILDModel,
+    LayerChain,
+    LeakyRelu,
+    Permute,
+    intervention_set,
+)
+from domcf.scm import InterventionSet
 
 import numpy as np
 import pytest
@@ -18,6 +27,30 @@ def random_scm(rng: np.random.Generator, m: int, spread: float = 0.6) -> AffineS
     S = np.exp(rng.uniform(-0.4, 0.4, size=m))
     b = rng.normal(0.0, 0.5, size=m)
     return AffineSCM(L, S, b)
+
+
+def mechanisms_allclose(f: AffineSCM, g: AffineSCM, tol: float = 1e-12) -> bool:
+    """Field-level closeness of (L, S, b)."""
+    return (
+        f.dim == g.dim
+        and np.allclose(f.L, g.L, rtol=0.0, atol=tol)
+        and np.allclose(f.S, g.S, rtol=0.0, atol=tol)
+        and np.allclose(f.b, g.b, rtol=0.0, atol=tol)
+    )
+
+
+def from_inverse_one_at_a_time(F_inv, b) -> AffineSCM:
+    """One mechanism from its inverse map, built and checked on its own, as
+    ``from_inverse`` did before families: ``S = 1/diag(F_inv)``,
+    ``L = tril(I - diag(S) F_inv, -1)``."""
+    S = 1.0 / np.diag(F_inv)
+    return AffineSCM(np.tril(np.eye(len(S)) - S[:, None] * F_inv, k=-1), S, b)
+
+
+def is_canonical(model: ILDModel) -> tuple[bool, InterventionSet]:
+    """Whether the intervention set is exactly the trailing block of its size."""
+    iset = intervention_set(model.scms)
+    return iset.indices == tuple(range(model.dim - iset.size + 1, model.dim + 1)), iset
 
 
 def random_dense_layer(rng: np.random.Generator, m: int) -> AffineDense:

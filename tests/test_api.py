@@ -47,13 +47,15 @@ def test_config_fields_are_pinned(cls):
     assert tuple(f.name for f in dataclasses.fields(cls)) == CONFIG_FIELDS[cls]
 
 
-# Each config dataclass's integer fields, with the keyword arguments of a valid instance.
+# Each config dataclass's integer fields with their least values, and the keyword
+# arguments of a valid instance.
 INTEGER_FIELDS = {
     domcf.GroundTruthSpec: (
-        ("dim", "num_domains", "n_train", "n_val", "n_test", "seed"), {"dim": 3, "num_domains": 2}
+        {"dim": 1, "num_domains": 2, "n_train": 0, "n_val": 0, "n_test": 0, "seed": 0},
+        {"dim": 3, "num_domains": 2},
     ),
-    domcf.TrainConfig: (("batch_size", "iterations", "eval_every", "seed"), {}),
-    domcf.ExperimentConfig: (("n_seeds",), {"ground_truth": domcf.GroundTruthSpec(3, 2)}),
+    domcf.TrainConfig: ({"batch_size": 1, "iterations": 0, "eval_every": 1, "seed": 0}, {}),
+    domcf.ExperimentConfig: ({"n_seeds": 1}, {"ground_truth": domcf.GroundTruthSpec(3, 2)}),
 }
 INTEGER_CASES = [(cls, name) for cls, (names, _) in INTEGER_FIELDS.items() for name in names]
 
@@ -61,8 +63,17 @@ INTEGER_CASES = [(cls, name) for cls, (names, _) in INTEGER_FIELDS.items() for n
 @pytest.mark.parametrize("value", [True, np.True_, 1.5, 10.5, 2.0, "3", None])
 @pytest.mark.parametrize("cls, name", INTEGER_CASES, ids=lambda v: getattr(v, "__name__", v))
 def test_integer_fields_refuse_other_values(cls, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    low = INTEGER_FIELDS[cls][0][name]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got "):
         cls(**{**INTEGER_FIELDS[cls][1], name: value})
+
+
+@pytest.mark.parametrize("cls, name", INTEGER_CASES, ids=lambda v: getattr(v, "__name__", v))
+def test_integer_fields_refuse_values_below_their_least(cls, name):
+    low = INTEGER_FIELDS[cls][0][name]
+    cls(**{**INTEGER_FIELDS[cls][1], name: low})
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got {low - 1}$"):
+        cls(**{**INTEGER_FIELDS[cls][1], name: low - 1})
 
 
 @pytest.mark.parametrize("cls, name", INTEGER_CASES, ids=lambda v: getattr(v, "__name__", v))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +8,27 @@ from hypothesis import strategies as st
 from domcf import (
     AffineDense,
     AffineSCM,
+    GroundTruthSpec,
     ILDModel,
     LayerChain,
     canonicalize,
     check_counterfactual_equiv,
     check_distribution_equiv,
+    construct_equivalent,
+    generate_ground_truth,
+    serialize,
 )
 import domcf.canonical
-from domcf.canonical import TriangularityBroken, is_canonical
-from domcf.scm import InterventionSet
-from conftest import family_with_intervention, probe_points, random_scm
+from domcf.canonical import TriangularityBroken
+from domcf.scm import InterventionSet, _stack, _stacked_intervention_set
+from conftest import (
+    family_with_intervention,
+    from_inverse_one_at_a_time,
+    is_canonical,
+    mechanisms_allclose,
+    probe_points,
+    random_scm,
+)
 
 
 def demo_model() -> ILDModel:
@@ -110,8 +123,8 @@ class TestCanonicalize:
             ok_d, dev_d = check_distribution_equiv(model, canonical, pts, tol=1e-8)
             assert ok_cf, dev_cf
             assert ok_d, dev_d
-            assert identity_canonical.scms[0].allclose(
-                AffineSCM.identity(6), tol=1e-12
+            assert mechanisms_allclose(
+                identity_canonical.scms[0], AffineSCM.identity(6), tol=1e-12
             )
 
     def test_swap_budget(self, rng):
@@ -141,8 +154,9 @@ class TestGuards:
 
     def test_final_set_must_be_the_trailing_block(self, rng, monkeypatch):
         model = family_with_intervention(rng, 3, 2, (1,))
+        sets = [_stacked_intervention_set(*_stack(model.scms), 1e-8), InterventionSet((2,), 1e-8)]
         monkeypatch.setattr(
-            domcf.canonical, "intervention_set", lambda scms: InterventionSet((2,), 1e-8)
+            domcf.canonical, "_stacked_intervention_set", lambda F_inv, b, tol: sets.pop(0)
         )
         with pytest.raises(TriangularityBroken, match="not the trailing block"):
             canonicalize(model)
@@ -167,10 +181,60 @@ def test_canonicalize_property(params):
     assert report.original_intervention.indices == indices
     assert report.final_intervention.indices == tuple(range(m - k + 1, m + 1))
     assert len(report.swaps) <= k * (m - k)
-    assert identity_canonical.scms[0].allclose(AffineSCM.identity(m), tol=0.0)
+    assert mechanisms_allclose(identity_canonical.scms[0], AffineSCM.identity(m), tol=0.0)
     pts = probe_points(model, 60, seed=seed % 1000)
     for other in (canonical, identity_canonical):
         assert is_canonical(other)[0]
         for check in (check_counterfactual_equiv, check_distribution_equiv):
             ok, dev = check(model, other, pts, tol=1e-6)
             assert ok, (check.__name__, dev)
+
+
+def family_one_at_a_time(F_inv, b):
+    scms = tuple(map(from_inverse_one_at_a_time, F_inv, b))
+    return scms, _stack(scms)[0]
+
+
+def canonical_json(model: ILDModel) -> list[str]:
+    """``canonicalize``'s two models and report as JSON text (``repr`` of
+    every float, so the text is equal only where every bit is)."""
+    canonical, identity_canonical, report = canonicalize(model)
+    return [
+        json.dumps(serialize.model_to_dict(canonical)),
+        json.dumps(serialize.model_to_dict(identity_canonical)),
+        json.dumps(serialize.report_to_dict(report)),
+    ]
+
+
+def canonical_json_one_at_a_time(model: ILDModel) -> list[str]:
+    """``canonical_json`` with every mechanism, ``f_1^{-1}`` included, built
+    and checked one at a time, and the final set stacked from the members."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domcf.canonical, "_family_from_inverse", family_one_at_a_time)
+        mp.setattr(AffineSCM, "from_inverse", classmethod(lambda cls, F_inv, b: (
+            from_inverse_one_at_a_time(F_inv, b)
+        )))
+        return canonical_json(model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_canonicalize_matches_mechanisms_built_one_at_a_time(params):
+    m, nd, indices, seed = params
+    model = family_with_intervention(np.random.default_rng(seed), m, nd, indices)
+    assert canonical_json(model) == canonical_json_one_at_a_time(model)
+
+
+@pytest.mark.parametrize("seed", [71, 72])
+def test_score_models_canonicalize_as_one_at_a_time(seed):
+    """The score benchmark's shapes (m = 10, 5 domains): a ground truth, two
+    equivalents of it and four families intervened off the trailing block."""
+    gt = generate_ground_truth(GroundTruthSpec(10, 5, (8, 9, 10), 0, 0, 0, seed))
+    rng = np.random.default_rng(seed)
+    models = [gt]
+    for _ in range(2):
+        models.append(construct_equivalent(models[-1], random_scm(rng, 10), random_scm(rng, 10)))
+    for indices in ((1, 2, 3), (2, 4, 6), (1, 3, 5), (2, 5, 9)):
+        models.append(ILDModel(gt.g, family_with_intervention(rng, 10, 5, indices).scms))
+    for model in models:
+        assert canonical_json(model) == canonical_json_one_at_a_time(model)

@@ -583,7 +583,7 @@ class TestCanonicalize:
         assert report["original_intervention"]["indices"] == [2, 3]
         assert report["final_intervention"]["indices"] == [3, 4]
 
-        from domcf.canonical import is_canonical
+        from conftest import is_canonical
 
         canonical = serialize.model_from_dict(
             json.loads((out / "canonical.json").read_text())
@@ -736,10 +736,10 @@ NO_STEPS = {"iterations": 0}
 class TestConfigKeys:
     """A config key must be a field the command reads; anything else exits 2."""
 
-    def run(self, tmp_path, command, config):
+    def run(self, tmp_path, command, config, *args):
         cfg = tmp_path / "cfg.json"
         write_json(cfg, {**config, "output_dir": str(tmp_path / "out")})
-        return main([command, "--config", str(cfg)])
+        return main([command, "--config", str(cfg), *args])
 
     @pytest.mark.parametrize(
         "command, config, key",
@@ -819,6 +819,38 @@ class TestConfigKeys:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and literal[:12] in err  # the message truncates long numbers
+
+    @pytest.mark.parametrize(
+        "command, config, section",
+        [
+            ("generate", {"ground_truth": {**GT_2D, "seed": -1}}, "ground_truth"),
+            ("train", {"dataset_dir": "absent", "train": {"seed": -1}}, "train"),
+            (
+                "experiment",
+                {"ground_truth": {**GT_2D, "seed": -1}, "train": NO_STEPS},
+                "config.ground_truth",
+            ),
+        ],
+    )
+    def test_negative_seed_exits_2_naming_the_field(
+        self, tmp_path, capsys, command, config, section
+    ):
+        assert self.run(tmp_path, command, config) == 2
+        assert f"bad {section}: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("generate", {"ground_truth": GT_2D}),
+            ("train", {"dataset_dir": "absent"}),
+            ("experiment", {"ground_truth": GT_2D, "train": NO_STEPS}),
+        ],
+    )
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command, config):
+        assert self.run(tmp_path, command, config, "--seed", "-1") == 2
+        assert "bad --seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dense_with_k_exits_2(self, tmp_path, capsys):
         config = {"dataset_dir": "absent", "variant": {"kind": "dense", "k": 99}}

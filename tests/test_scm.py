@@ -13,8 +13,8 @@ from domcf import (
     compose,
     intervention_set,
 )
-from domcf.scm import _stack, _stacked_intervention_set
-from conftest import random_scm
+from domcf.scm import _family, _family_from_inverse, _stack, _stacked_intervention_set
+from conftest import from_inverse_one_at_a_time, mechanisms_allclose, random_scm
 
 ALL_ONES_4 = np.tril(np.ones((4, 4)))
 DEMO_F2 = np.array(
@@ -107,8 +107,8 @@ class TestCompose:
     def test_identity_neutral(self, rng):
         f = random_scm(rng, 4)
         ident = AffineSCM.identity(4)
-        assert compose(ident, f).allclose(f, tol=1e-12)
-        assert compose(f, ident).allclose(f, tol=1e-12)
+        assert mechanisms_allclose(compose(ident, f), f, tol=1e-12)
+        assert mechanisms_allclose(compose(f, ident), f, tol=1e-12)
 
     def test_demo_rebased_second_mechanism(self):
         f1, f2 = demo_pair()
@@ -145,7 +145,7 @@ class TestCompose:
             a, b, c = (random_scm(rng, 5) for _ in range(3))
             left = compose(compose(a, b), c)
             right = compose(a, compose(b, c))
-            assert left.allclose(right, tol=1e-10)
+            assert mechanisms_allclose(left, right, tol=1e-10)
 
     def test_log_det_additive(self, rng):
         for _ in range(10):
@@ -157,7 +157,7 @@ class TestCompose:
 
 class TestInvert:
     def test_identity(self):
-        assert AffineSCM.identity(3).invert().allclose(AffineSCM.identity(3))
+        assert mechanisms_allclose(AffineSCM.identity(3).invert(), AffineSCM.identity(3))
 
     def test_all_ones_inverse_is_bidiagonal(self):
         f1, _ = demo_pair()
@@ -168,12 +168,12 @@ class TestInvert:
 
     def test_compose_with_inverse_is_identity(self, rng):
         f = random_scm(rng, 6)
-        assert compose(f.invert(), f).allclose(AffineSCM.identity(6), tol=1e-12)
+        assert mechanisms_allclose(compose(f.invert(), f), AffineSCM.identity(6), tol=1e-12)
 
     def test_involution(self, rng):
         for _ in range(10):
             f = random_scm(rng, 5)
-            assert f.invert().invert().allclose(f, tol=1e-12)
+            assert mechanisms_allclose(f.invert().invert(), f, tol=1e-12)
 
 
 class TestCachedMatrices:
@@ -195,13 +195,13 @@ class TestCachedMatrices:
 
     def test_from_inverse_round_trips(self, rng):
         f = random_scm(rng, 6)
-        assert AffineSCM.from_inverse(f.inverse_matrix, f.b).allclose(f, tol=1e-12)
+        assert mechanisms_allclose(AffineSCM.from_inverse(f.inverse_matrix, f.b), f, tol=1e-12)
 
 
 class TestFromMatrix:
     def test_identity(self):
         f = AffineSCM.from_matrix(np.eye(3), np.zeros(3))
-        assert f.allclose(AffineSCM.identity(3))
+        assert mechanisms_allclose(f, AffineSCM.identity(3))
 
     def test_demo_factorization(self, rng):
         f2 = AffineSCM.from_matrix(DEMO_F2, np.zeros(4))
@@ -357,3 +357,109 @@ def test_intervention_set_matches_pairwise_reference(m, nd, seed):
     assert _stacked_intervention_set(*_stack(random_family), TOL).indices == (
         pairwise_intervention(random_family, TOL)
     )
+
+
+def random_inverse_stack(gen: np.random.Generator, m: int, nd: int):
+    """Inverse maps ``(nd, m, m)`` with a positive diagonal and roundoff-sized
+    upper entries (which the factorization ignores), and biases ``(nd, m)``."""
+    F_inv = np.tril(gen.standard_normal((nd, m, m)), k=-1) * 0.5
+    F_inv += np.triu(gen.standard_normal((nd, m, m)), k=1) * 1e-13
+    F_inv[:, np.arange(m), np.arange(m)] = np.exp(gen.uniform(-0.5, 0.5, size=(nd, m)))
+    return F_inv, gen.normal(0.0, 0.5, size=(nd, m))
+
+
+FIELDS = ("L", "S", "b", "inverse_matrix", "matrix")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_family_members_equal_mechanisms_built_one_at_a_time(m, nd, seed):
+    F_inv, b = random_inverse_stack(np.random.default_rng(seed), m, nd)
+    family, F_inv_stack = _family_from_inverse(F_inv, b)
+    reference = [from_inverse_one_at_a_time(F, c) for F, c in zip(F_inv, b)]
+    assert len(family) == nd
+    for f, ref in zip(family, reference):
+        assert type(f) is AffineSCM and f.dim == m
+        for name in FIELDS:
+            got, want = getattr(f, name), getattr(ref, name)
+            assert np.array_equal(got, want), name
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+                want.flags.c_contiguous, want.flags.f_contiguous
+            ), name
+            assert not got.flags.writeable, name
+    assert np.array_equal(F_inv_stack, np.stack([ref.inverse_matrix for ref in reference]))
+    for f, (F, c) in zip(family, zip(F_inv, b)):
+        one = AffineSCM.from_inverse(F, c)
+        for name in FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(f, name)), name
+
+
+class TestFamily:
+    def test_fields_are_read_only_copies(self, rng):
+        F_inv, b = random_inverse_stack(rng, 4, 3)
+        L, S = np.tril(F_inv, k=-1), np.exp(rng.standard_normal((3, 4)))
+        families = [_family_from_inverse(F_inv, b)[0], _family(L, S, b)[0]]
+        kept = [[f.b.copy() for f in family] for family in families]
+        b[...] = 7.0
+        for family, old in zip(families, kept):
+            for f, old_b in zip(family, old):
+                assert np.array_equal(f.b, old_b)
+                for name in ("L", "S", "b", "inverse_matrix"):
+                    array = getattr(f, name)
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 1.0
+                    with pytest.raises(ValueError):
+                        array.setflags(write=True)
+
+    def test_inverse_matrix_is_cached_from_the_stack(self, rng):
+        family, F_inv = _family_from_inverse(*random_inverse_stack(rng, 5, 3))
+        for d, f in enumerate(family):
+            assert f.inverse_matrix is f.inverse_matrix
+            assert np.shares_memory(f.inverse_matrix, F_inv[d])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["L", "S", "b"])
+    def test_non_finite_entry_has_the_single_mechanism_message(self, rng, field, bad):
+        fields = {"L": np.zeros((3, 4, 4)), "S": np.ones((3, 4)), "b": np.zeros((3, 4))}
+        fields["L"][1] = np.tril(rng.standard_normal((4, 4)), k=-1)
+        fields[field][2, -1, ...] = bad
+        with pytest.raises(ValueError) as single:
+            AffineSCM(*(fields[name][2] for name in ("L", "S", "b")))
+        with pytest.raises(ValueError) as stacked:
+            _family(fields["L"], fields["S"], fields["b"])
+        assert type(stacked.value) is type(single.value) is ValueError
+        assert str(stacked.value) == str(single.value) == "L, S and b must be finite"
+
+    def test_nan_inverse_entry_raises_value_error(self, rng):
+        F_inv, b = random_inverse_stack(rng, 4, 3)
+        F_inv[1, 3, 0] = np.nan
+        with pytest.raises(ValueError, match="^L, S and b must be finite$"):
+            _family_from_inverse(F_inv, b)
+        with pytest.raises(ValueError, match="^L, S and b must be finite$"):
+            from_inverse_one_at_a_time(F_inv[1], b[1])
+
+    @pytest.mark.parametrize("diagonal", [-0.5, -2.0])
+    def test_non_positive_diagonal_has_the_single_mechanism_message(self, rng, diagonal):
+        F_inv, b = random_inverse_stack(rng, 4, 3)
+        F_inv[2, 1, 1] = diagonal
+        with pytest.raises(NonPositiveDiagonal, match="^S must be strictly positive$"):
+            _family_from_inverse(F_inv, b)
+        with pytest.raises(NonPositiveDiagonal, match="^S must be strictly positive$"):
+            from_inverse_one_at_a_time(F_inv[2], b[2])
+
+    def test_upper_entry_of_l_is_refused(self, rng):
+        L = np.zeros((2, 3, 3))
+        L[1, 0, 2] = 1e-300
+        with pytest.raises(NotLowerTriangular, match="^L must be strictly lower triangular$"):
+            _family(L, np.ones((2, 3)), np.zeros((2, 3)))
+
+    def test_shape_mismatch_names_the_stacked_shape(self):
+        with pytest.raises(DimensionMismatch, match=r"^S and b must have shape \(2, 3\)"):
+            _family(np.zeros((2, 3, 3)), np.ones((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(DimensionMismatch, match=r"^L must be square, got shape \(3, 3\)"):
+            _family(np.zeros((3, 3)), np.ones(3), np.zeros(3))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from domcf import (
+    AffineSCM,
     GroundTruthSpec,
     MultiDomainDataset,
     Split,
@@ -26,6 +27,7 @@ from domcf.train import (
     dataset_nll,
     train,
 )
+from conftest import mechanisms_allclose
 
 
 def perturbed(trainable: TrainableILD, seed: int, scale: float = 0.3) -> TrainableILD:
@@ -380,6 +382,20 @@ class TestParamBuffer:
         assert not np.shares_memory(t.copy().vec, t.vec)
         assert not np.shares_memory(t.zeros_like().vec, t.vec)
 
+    @pytest.mark.parametrize("kind, k", [("can", 0), ("can", 2), ("dense", None)])
+    def test_materialize_builds_each_mechanism_as_its_constructor_would(self, kind, k):
+        t = perturbed(TrainableILD.initialize(4, 3, kind, k, seed=0), seed=5)
+        L, logS, b = t.mechanism_arrays()
+        expected = tuple(map(AffineSCM, L, np.exp(logS), b))
+        got = t.materialize().scms
+        assert len(got) == len(expected) == 3
+        for f, ref in zip(got, expected):
+            assert type(f) is AffineSCM
+            for name in ("L", "S", "b", "inverse_matrix", "matrix"):
+                field, want = getattr(f, name), getattr(ref, name)
+                assert np.array_equal(field, want) and not field.flags.writeable, name
+                assert field.flags.c_contiguous == want.flags.c_contiguous, name
+
     def test_views_cannot_be_rebound(self):
         t = TrainableILD.initialize(2, 2, "dense", seed=0)
         with pytest.raises(AttributeError):
@@ -545,7 +561,7 @@ class TestTrain:
         assert len(history) == 1 and history[0][0] == 0
         init_model = t.materialize()
         for f_trained, f_init in zip(model.scms, init_model.scms):
-            assert f_trained.allclose(f_init, tol=0.0)
+            assert mechanisms_allclose(f_trained, f_init, tol=0.0)
 
     def test_history_row_count(self, tiny_dataset):
         cfg = TrainConfig(iterations=300, eval_every=100, batch_size=64, seed=2)
