@@ -9,7 +9,8 @@ come from a seeded calibration draw and ``|det G_out| = 1``.
 
 Seed streams are derived with numpy SeedSequence from ``(seed, purpose tag,
 index)`` tuples, so every (domain, split) pair gets a disjoint deterministic
-stream.
+stream.  Each split is one preallocated array: every domain's sample is drawn
+in row blocks straight into its slice, so a split is never copied.
 """
 from __future__ import annotations
 
@@ -181,12 +182,12 @@ def generate_ground_truth(spec: GroundTruthSpec) -> ILDModel:
 
 
 def _sample_split(gt: ILDModel, spec: GroundTruthSpec, name: str, count: int) -> Split:
-    xs, ds = [], []
-    for d in range(1, spec.num_domains + 1):
+    nd = spec.num_domains
+    x = np.empty((nd * count, spec.dim))
+    for d in range(1, nd + 1):
         ss = np.random.SeedSequence([spec.seed, _SPLIT_TAGS[name], d])
-        xs.append(gt.sample(d, count, ss))
-        ds.append(np.full(count, d, dtype=int))
-    return Split(np.concatenate(xs, axis=0), np.concatenate(ds))
+        gt._sample_into(d, ss, x[(d - 1) * count : d * count])
+    return Split(x, np.repeat(np.arange(1, nd + 1), count))
 
 
 def sample_dataset(gt: ILDModel, spec: GroundTruthSpec) -> MultiDomainDataset:

@@ -28,6 +28,9 @@ along rows; every step rounds as its row-major form does.  The last product
 stays row-major, written into its destination: ``F^{-1}`` in the likelihood,
 so the squared noise sums in row order (an ``(m, rows)`` sum moves the last
 bit), and the output layer in a counterfactual, so no block is copied.
+``ILDModel.sample`` fills its one result array over the same row blocks;
+PCG64's normal draws do not depend on how they are chunked, so a sample has
+the bits of one full draw.
 
 Labeled samples ``(X, labels)`` follow one contract wherever they enter:
 ``_labeled_rows`` checks them (its docstring lists the errors), and
@@ -108,12 +111,21 @@ class ILDModel:
         """Draw ``n`` observations from domain ``d`` as an ``(n, m)`` array.
 
         ``seed`` may be an int or a numpy SeedSequence; PCG64 throughout.
+        The draw runs in row blocks into the one result array, with the same
+        bits as ``g(f_d(eps))`` of one ``(n, m)`` normal draw: PCG64's normal
+        draws do not depend on how they are chunked, and rows never mix.
         """
-        f = self._scm(d)
+        self._scm(d)
         if n < 0:
             raise ValueError("sample count must be >= 0")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        return self.g.forward(f.forward(rng.standard_normal((n, self.dim))))
+        return self._sample_into(d, seed, np.empty((n, self.dim)))
+
+    def _sample_into(self, d: int, seed, out: np.ndarray) -> np.ndarray:
+        """``sample(d, len(out), seed)`` written into the ``(n, m)`` array ``out``."""
+        f, rng = self.scms[d - 1], np.random.Generator(np.random.PCG64(seed))
+        for lo, hi in _blocks(len(out)):
+            out[lo:hi] = self.g.forward(f.forward(rng.standard_normal((hi - lo, self.dim))))
+        return out
 
     def log_likelihood(self, x, d: int):
         """Exact log-density of ``x`` under domain ``d`` by change of variables.

@@ -54,7 +54,9 @@ from itertools import accumulate, combinations
 import numpy as np
 
 # benchmarks/workloads.py calls ``domcf.train.dataset_nll``.
-from .ild import ILDModel, LOG_TWO_PI, _dataset_nll, _labeled_rows, dataset_nll  # noqa: F401
+from .ild import (  # noqa: F401
+    ILDModel, LOG_TWO_PI, _blocks, _dataset_nll, _labeled_rows, dataset_nll,
+)
 from .mixing import AffineDense, LayerChain, LeakyRelu, _invertible_slogdet
 from .scm import _family, _integer
 
@@ -532,7 +534,10 @@ def train(
     says, a non-finite value as "train data (or val data) holds a non-finite
     value".  Before the first step, ``ValueError`` refuses a zero-variance
     train column (no invertible observation layer fits it) and rank-deficient
-    train data (the likelihood is unbounded).
+    train data (the likelihood is unbounded).  The rank counts the centred,
+    column-scaled rows' singular values above ``np.linalg.matrix_rank``'s
+    tolerance, read off an R factor folded over row blocks, so the check
+    copies no split.
     Data too large for float64 raises ``ValueError`` too: a non-finite
     gradient or an overflowed Adam second moment names its iteration, and a
     history whose validation NLLs are all non-finite is rejected after the
@@ -546,9 +551,14 @@ def train(
     flat = np.flatnonzero(hi == lo)
     if flat.size:
         raise ValueError(f"train column {flat[0] + 1} has zero variance")
-    Y = Xtr / np.maximum(hi, -lo)  # cannot overflow; exact for power-of-two scales
-    Y -= np.ones(len(Y)) @ Y / len(Y)
-    rank = np.linalg.matrix_rank(Y)
+    scale = np.maximum(hi, -lo)  # cannot overflow; exact for power-of-two scales
+    n, m = Xtr.shape
+    mean = sum((Xtr[a:b] / scale).sum(axis=0) for a, b in _blocks(n)) / n
+    R = np.empty((0, m))
+    for a, b in _blocks(n):  # R has the singular values of the centred rows
+        R = np.linalg.qr(np.vstack([R, Xtr[a:b] / scale - mean]), mode="r")
+    sv = np.linalg.svd(R, compute_uv=False)
+    rank = np.count_nonzero(sv > sv[0] * max(n, m) * np.finfo(float).eps)  # matrix_rank's tol
     if rank < trainable.dim:
         raise ValueError(f"train data is rank-deficient: centered rank {rank} < {trainable.dim}")
 

@@ -115,6 +115,13 @@ def family_with_intervention(
     return ILDModel(random_chain(rng, m), tuple(scms))
 
 
+def one_shot_sample(model: ILDModel, d: int, n: int, seed) -> np.ndarray:
+    """``model.sample(d, n, seed)`` as one ``(n, m)`` draw pushed through whole:
+    the reference for the row-blocked sampler."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return model.g.forward(model.scms[d - 1].forward(rng.standard_normal((n, model.dim))))
+
+
 def probe_points(model: ILDModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Probes drawn from every domain of the model, labels cycling 1..N_d."""
     per = -(-n // model.num_domains)

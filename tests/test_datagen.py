@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from domcf import (
     oracle_counterfactual_error,
     sample_dataset,
 )
-from conftest import probe_points, random_model
+from domcf.datagen import _SPLIT_TAGS
+from conftest import one_shot_sample, probe_points, random_model
 
 
 def small_spec(**overrides) -> GroundTruthSpec:
@@ -137,6 +139,54 @@ class TestSampleDataset:
         ds = sample_dataset(generate_ground_truth(spec), spec)
         assert not np.array_equal(ds.train.x[:50], ds.val.x[:50])
         assert not np.array_equal(ds.val.x[:50], ds.test.x[:50])
+
+
+@pytest.fixture(scope="module", params=[(6, 3, (5, 6)), (10, 5, (8, 9, 10))], ids=["m6", "m10"])
+def truth(request):
+    m, nd, intervention = request.param
+    spec = GroundTruthSpec(m, nd, intervention, n_train=0, n_val=0, n_test=0, seed=27)
+    return generate_ground_truth(spec)
+
+
+def assert_same_array(a: np.ndarray, b: np.ndarray) -> None:
+    assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True)
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBlockedSampling:
+    """Sampling runs in row blocks into one array with the bits of one draw."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4095, 4096, 4097, 8193])
+    def test_sample_equals_one_shot_draw(self, truth, n):
+        for d in (1, truth.num_domains):
+            seed = np.random.SeedSequence([27, n, d])
+            assert_same_array(truth.sample(d, n, seed), one_shot_sample(truth, d, n, seed))
+
+    @pytest.mark.parametrize("count", [1, 4097])
+    def test_splits_equal_concatenated_domain_samples(self, truth, count):
+        spec = GroundTruthSpec(
+            truth.dim, truth.num_domains, n_train=count, n_val=2, n_test=0, seed=27
+        )
+        ds = sample_dataset(truth, spec)
+        domains = range(1, spec.num_domains + 1)
+        for name, n in (("train", count), ("val", 2), ("test", 0)):
+            split = getattr(ds, name)
+            seeds = [np.random.SeedSequence([spec.seed, _SPLIT_TAGS[name], d]) for d in domains]
+            x = np.concatenate([one_shot_sample(truth, d, n, ss) for d, ss in zip(domains, seeds)])
+            assert_same_array(split.x, x)
+            labels = np.concatenate([np.full(n, d, dtype=np.int64) for d in domains])
+            assert_same_array(split.d, labels)
+
+    def test_sample_peak_memory_stays_near_its_output(self, truth):
+        truth.sample(1, 10, 0)  # first-call allocations are not the sampler's
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            x = truth.sample(1, 50_000, 5)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
 
 class TestOracleCounterfactualError:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -615,14 +616,20 @@ class TestTrain:
         assert steps == []
 
     @staticmethod
-    def _scaled_columns(dependent: bool, column: int, power: int) -> MultiDomainDataset:
+    def _scaled_columns(
+        dependent: bool, column: int, power: int, n_train: int = 400, noise: float = 0.0
+    ) -> MultiDomainDataset:
         """A 3-dim, 2-domain dataset, its third train column optionally
-        replaced by ``x1 + 2 x2``, then one column scaled by ``2**power``."""
-        spec = GroundTruthSpec(3, 2, (3,), n_train=400, n_val=60, n_test=60, seed=3)
+        replaced by ``x1 + 2 x2`` plus normal noise at ``noise`` times that
+        column's largest entry, then one column scaled by ``2**power``."""
+        spec = GroundTruthSpec(3, 2, (3,), n_train=n_train, n_val=60, n_test=60, seed=3)
         ds = sample_dataset(generate_ground_truth(spec), spec)
         X = ds.train.x.copy()
         if dependent:
             X[:, 2] = X[:, 0] + 2.0 * X[:, 1]
+            if noise:
+                jitter = np.random.default_rng(4).standard_normal(len(X))
+                X[:, 2] += noise * np.abs(X[:, 2]).max() * jitter
         X[:, column] *= 2.0**power
         return replace(ds, train=Split(X, ds.train.d))
 
@@ -654,6 +661,42 @@ class TestTrain:
         t = TrainableILD.initialize(3, 2, "dense", seed=0)
         _, history = train(t, dataset, TrainConfig(iterations=0, seed=0))
         assert len(history) == 1
+
+    @pytest.mark.parametrize(
+        "dependent, column, power, noise, deficient",
+        [
+            (True, 0, 0, 0.0, True), (True, 0, 40, 0.0, True), (True, 2, -40, 0.0, True),
+            (True, 1, 3, 0.0, True), (False, 0, 40, 0.0, False), (False, 2, -40, 0.0, False),
+            (True, 0, 0, 1e-6, False), (True, 1, 3, 1e-15, True),
+        ],
+    )
+    def test_streamed_rank_decides_as_matrix_rank(self, dependent, column, power, noise, deficient):
+        dataset = self._scaled_columns(dependent, column, power, n_train=4097, noise=noise)
+        X = dataset.train.x
+        assert len(X) >= 8193  # three row blocks
+        Y = X / np.maximum(X.max(axis=0), -X.min(axis=0))
+        Y -= np.ones(len(Y)) @ Y / len(Y)
+        assert (np.linalg.matrix_rank(Y) < 3) == deficient
+        t = TrainableILD.initialize(3, 2, "dense", seed=0)
+        if deficient:
+            with pytest.raises(ValueError, match="train data is rank-deficient"):
+                train(t, dataset, TrainConfig(iterations=0, seed=0))
+        else:
+            assert len(train(t, dataset, TrainConfig(iterations=0, seed=0))[1]) == 1
+
+    def test_preflight_and_first_record_make_no_copy_of_the_train_split(self):
+        spec = GroundTruthSpec(6, 3, (5, 6), n_train=20_000, n_val=1_000, n_test=0, seed=3)
+        dataset = sample_dataset(generate_ground_truth(spec), spec)
+        t = TrainableILD.initialize(6, 3, "can", 2, seed=3)
+        train(t, dataset, TrainConfig(iterations=0, seed=0))  # first-call allocations
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            train(t, dataset, TrainConfig(iterations=0, seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * dataset.train.x.nbytes
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_fails_as_bad_input(self):
